@@ -42,7 +42,7 @@ from repro.decomposition.abcore import abcore_vertices
 from repro.decomposition.csr_kernels import csr_abcore_masks
 from repro.decomposition.offsets import alpha_offsets
 from repro.graph.bipartite import BipartiteGraph, Vertex
-from repro.graph.csr import HAS_NUMPY, freeze
+from repro.graph.csr import freeze
 from repro.graph.generators import power_law_bipartite
 from repro.index.degeneracy_index import DegeneracyIndex
 
@@ -144,8 +144,6 @@ def format_report(report: Dict[str, Dict[str, float]]) -> str:
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def comparison_report():
-    if not HAS_NUMPY:
-        pytest.skip("CSR backend requires numpy")
     return run_comparison()
 
 
@@ -163,9 +161,6 @@ def test_csr_backend_meets_speedup_targets(comparison_report):
 
 
 def main() -> int:
-    if not HAS_NUMPY:
-        print("numpy is not installed; nothing to compare")
-        return 1
     report = run_comparison()
     print(format_report(report))
     build = report["index build (I_δ)"]["speedup"]

@@ -42,7 +42,6 @@ import pytest
 
 from repro.api import CommunitySearcher
 from repro.graph.bipartite import BipartiteGraph, Vertex
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.generators import power_law_bipartite
 from repro.index.degeneracy_index import DegeneracyIndex
 
@@ -170,8 +169,6 @@ def format_report(report: Dict[str, float]) -> str:
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def comparison_report():
-    if not HAS_NUMPY:
-        pytest.skip("the batch CSR query path requires numpy")
     return run_comparison()
 
 
@@ -185,15 +182,10 @@ def test_batch_csr_path_meets_speedup_target(comparison_report):
 
 
 def test_batch_search_matches_sequential_on_both_backends():
-    if not HAS_NUMPY:
-        pytest.skip("the batch CSR query path requires numpy")
     assert_batch_matches_sequential_search()
 
 
 def main() -> int:
-    if not HAS_NUMPY:
-        print("numpy is not installed; nothing to compare")
-        return 1
     report = run_comparison()
     print(format_report(report))
     assert_batch_matches_sequential_search()

@@ -42,7 +42,6 @@ from typing import Dict, List, Tuple
 import pytest
 
 from repro.graph.bipartite import BipartiteGraph, Vertex
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.generators import power_law_bipartite
 from repro.index.maintenance import DynamicDegeneracyIndex
 from repro.index.serialization import save_index
@@ -200,7 +199,6 @@ def format_report(results: Dict[str, float]) -> str:
 # --------------------------------------------------------------------------- #
 # pytest entry points
 # --------------------------------------------------------------------------- #
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="the snapshot store requires numpy")
 
 
 @pytest.fixture(scope="module")
@@ -219,9 +217,6 @@ def test_compacted_cold_start_within_ratio_of_fresh_base(bench_root):
 
 
 def main() -> int:
-    if not HAS_NUMPY:
-        print("numpy is not installed; nothing to compare")
-        return 1
     import tempfile
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-compaction-") as tmp:

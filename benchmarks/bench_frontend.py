@@ -52,7 +52,6 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.generators import power_law_bipartite
 from repro.index.degeneracy_index import DegeneracyIndex
 
@@ -327,8 +326,6 @@ def uncached_run(tmp_root: Path) -> Dict[str, float]:
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def bench_root(tmp_path_factory):
-    if not HAS_NUMPY:
-        pytest.skip("the snapshot store requires numpy")
     return tmp_path_factory.mktemp("bench-frontend")
 
 
@@ -369,9 +366,6 @@ def test_frontend_answers_match_sequential_batch(bench_root):
 
 
 def main() -> int:
-    if not HAS_NUMPY:
-        print("numpy is not installed; nothing to serve")
-        return 1
     import tempfile
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-frontend-") as tmp:

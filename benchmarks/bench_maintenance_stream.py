@@ -45,7 +45,6 @@ from typing import Dict, List, Tuple
 import pytest
 
 from repro.graph.bipartite import BipartiteGraph, Vertex
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.generators import power_law_bipartite
 from repro.index.degeneracy_index import DegeneracyIndex
 from repro.index.maintenance import DynamicDegeneracyIndex
@@ -258,8 +257,6 @@ def format_report(maintained: Dict[str, float], baseline: Dict[str, float]) -> s
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def stream():
-    if not HAS_NUMPY:
-        pytest.skip("the maintenance benchmark requires numpy")
     return churn_stream(benchmark_graph(), NUM_UPDATES)
 
 
@@ -275,9 +272,6 @@ def test_maintenance_stream_meets_speedup_target(stream):
 
 
 def main() -> int:
-    if not HAS_NUMPY:
-        print("numpy is not installed; nothing to compare")
-        return 1
     updates = churn_stream(benchmark_graph(), NUM_UPDATES)
     maintained = run_maintained(updates)
     baseline = run_rebuild_baseline(updates)

@@ -38,7 +38,6 @@ from typing import Dict
 import pytest
 
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.generators import power_law_bipartite
 from repro.index.degeneracy_index import DegeneracyIndex
 
@@ -127,7 +126,6 @@ def format_report(sequential: Dict[str, float], parallel: Dict[str, float]) -> s
 # --------------------------------------------------------------------------- #
 # pytest entry points
 # --------------------------------------------------------------------------- #
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="the CSR backend requires numpy")
 
 
 def test_parallel_build_meets_speedup_target():
@@ -151,9 +149,6 @@ def test_parallel_build_meets_speedup_target():
 
 
 def main() -> int:
-    if not HAS_NUMPY:
-        print("numpy is not installed; nothing to compare")
-        return 1
     sequential = run_build(1)
     parallel = run_build(NUM_JOBS)
     assert_identical(_cache["index-1"], _cache[f"index-{NUM_JOBS}"])

@@ -55,7 +55,6 @@ from typing import Dict, List, Tuple
 import pytest
 
 from repro.graph.bipartite import BipartiteGraph, Vertex
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.generators import power_law_bipartite
 from repro.index.degeneracy_index import DegeneracyIndex
 from repro.index.serialization import load_index, save_index
@@ -307,8 +306,6 @@ def format_report(
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def bench_root(tmp_path_factory):
-    if not HAS_NUMPY:
-        pytest.skip("the snapshot store requires numpy")
     return tmp_path_factory.mktemp("bench-serving")
 
 
@@ -350,9 +347,6 @@ def test_significant_search_meets_speedup_target(bench_root):
 
 
 def main() -> int:
-    if not HAS_NUMPY:
-        print("numpy is not installed; nothing to compare")
-        return 1
     import tempfile
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-serving-") as tmp:

@@ -21,7 +21,6 @@ from pathlib import Path
 
 from repro import DegeneracyIndex, DynamicDegeneracyIndex, upper
 from repro.datasets.registry import load_dataset
-from repro.graph.csr import HAS_NUMPY
 from repro.index.serialization import load_index, save_index
 from repro.utils.timer import Timer
 
@@ -75,25 +74,19 @@ def main() -> None:
     except Exception as exc:  # query vertex may fall outside the core
         print(f"Probe query skipped ({exc})")
 
-    # Persist the maintained index and load it back.  With numpy available
-    # the snapshot format is incremental: the first save writes the base, a
-    # save after further updates appends only a delta segment.
+    # Persist the maintained index and load it back.  The snapshot format is
+    # incremental: the first save writes the base, a save after further
+    # updates appends only a delta segment.
     with tempfile.TemporaryDirectory() as tmp:
-        if HAS_NUMPY:
-            target = Path(tmp) / "gh_snapshot"
-            save_index(dynamic, target, format="snapshot")
-            u, v = rng.choice(uppers), rng.choice(lowers)
-            dynamic.insert_edge(u, v, 3.0)
-            save_index(dynamic, target, format="snapshot")
-            deltas = sorted(p.name for p in target.glob("delta-*.json"))
-            loaded = load_index(target)
-            print(f"Snapshot persisted incrementally (segments: {deltas}) and "
-                  f"reloaded (delta = {loaded.delta})")
-        else:
-            path = save_index(dynamic, Path(tmp) / "gh_index.pkl")
-            loaded = load_index(path)
-            print(f"Index persisted to {path.name} and reloaded "
-                  f"(delta = {loaded.delta}, {loaded.stats().entries} entries)")
+        target = Path(tmp) / "gh_snapshot"
+        save_index(dynamic, target, format="snapshot")
+        u, v = rng.choice(uppers), rng.choice(lowers)
+        dynamic.insert_edge(u, v, 3.0)
+        save_index(dynamic, target, format="snapshot")
+        deltas = sorted(p.name for p in target.glob("delta-*.json"))
+        loaded = load_index(target)
+        print(f"Snapshot persisted incrementally (segments: {deltas}) and "
+              f"reloaded (delta = {loaded.delta})")
 
 
 if __name__ == "__main__":

@@ -14,8 +14,6 @@ example walks the full serving lifecycle on a synthetic rating graph:
 Run with::
 
     python examples/serve_snapshot.py
-
-Requires numpy (the snapshot store maps raw array segments).
 """
 
 from __future__ import annotations
@@ -25,17 +23,12 @@ import time
 from pathlib import Path
 
 from repro import CommunitySearcher
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.generators import power_law_bipartite
 from repro.index.serialization import load_index, save_index
 from repro.serving.snapshot import load_snapshot
 
 
 def main() -> None:
-    if not HAS_NUMPY:
-        print("This example needs numpy (the snapshot store maps raw array segments).")
-        return
-
     graph = power_law_bipartite(1500, 1200, 12000, seed=5, name="ratings")
     print(f"Graph: {graph.num_upper} users x {graph.num_lower} items, "
           f"{graph.num_edges} ratings")

@@ -18,7 +18,9 @@ Quickstart
 "significant (2,2)-community of U('u3'): 2 upper x 2 lower vertices, 4 edges, significance 13"
 """
 
-from repro.api import CommunitySearcher
+import importlib
+from typing import Any
+
 from repro.exceptions import (
     DatasetError,
     EmptyCommunityError,
@@ -28,17 +30,38 @@ from repro.exceptions import (
     ReproError,
     ServingError,
 )
-from repro.graph.bipartite import BipartiteGraph, Side, Vertex, lower, upper
-from repro.index.basic_index import BasicIndex
-from repro.index.bicore_index import BicoreIndex
-from repro.index.degeneracy_index import DegeneracyIndex
-from repro.index.maintenance import DynamicDegeneracyIndex
-from repro.index.queries import online_community_query
-from repro.search.baseline import scs_baseline
-from repro.search.binary import scs_binary
-from repro.search.expand import scs_expand
-from repro.search.peel import scs_peel
-from repro.search.result import SearchResult
+
+# The numpy-backed exports load on first access (PEP 562), so importing a
+# subpackage that needs only the stdlib — the ``repro.analysis`` lint engine —
+# never pulls in numpy.
+_LAZY_EXPORTS = {
+    "CommunitySearcher": "repro.api",
+    "BipartiteGraph": "repro.graph.bipartite",
+    "Side": "repro.graph.bipartite",
+    "Vertex": "repro.graph.bipartite",
+    "lower": "repro.graph.bipartite",
+    "upper": "repro.graph.bipartite",
+    "BasicIndex": "repro.index.basic_index",
+    "BicoreIndex": "repro.index.bicore_index",
+    "DegeneracyIndex": "repro.index.degeneracy_index",
+    "DynamicDegeneracyIndex": "repro.index.maintenance",
+    "online_community_query": "repro.index.queries",
+    "scs_baseline": "repro.search.baseline",
+    "scs_binary": "repro.search.binary",
+    "scs_expand": "repro.search.expand",
+    "scs_peel": "repro.search.peel",
+    "SearchResult": "repro.search.result",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "1.0.0"
 

@@ -434,7 +434,7 @@ def _run_update(args: argparse.Namespace) -> int:
 
     # The saved format follows the *source* index: a snapshot directory stays
     # a snapshot (appending a delta when saved back onto itself), a pickle
-    # stays a pickle — also on hosts without numpy.
+    # stays a pickle.
     is_snapshot = Path(args.index).is_dir()
     saved = save_index(
         dynamic, target, format="snapshot" if is_snapshot else "pickle"

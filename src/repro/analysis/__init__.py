@@ -1,14 +1,11 @@
 """Repo-specific static analysis: the invariant lint engine.
 
-The codebase rests on four load-bearing conventions that ordinary test
+The codebase rests on three load-bearing conventions that ordinary test
 suites only catch at runtime, long after the offending edit:
 
-* **numpy-guard** — numpy may be imported unguarded only inside the declared
-  kernel modules; everything reachable from the no-numpy fallback path must
-  stay importable without it (rules ``NPG001``–``NPG003``).
-* **twin parity** — every vectorised kernel has a pure-python twin whose
-  signature, defaults and docstring ``Contract:`` lines must stay aligned
-  (rules ``TWIN001``–``TWIN004``).
+* **twin parity** — every registered vectorised kernel and its pure-python
+  twin keep their signature, defaults and docstring ``Contract:`` lines
+  aligned (rules ``TWIN001``–``TWIN004``).
 * **zero materialisation** — the array/snapshot query path must never
   statically reach a dict-graph constructor or ``.thaw()``
   (rules ``MAT001``–``MAT003``).
@@ -17,7 +14,7 @@ suites only catch at runtime, long after the offending edit:
   are never written in place (rules ``SNAP001``–``SNAP004``).
 
 The engine is pure ``ast``/stdlib — it runs (and is CI-smoked) without
-numpy.  Run it locally with ``python -m repro.analysis src/repro``; see
+installing the package's dependencies.  Run it locally with ``python -m repro.analysis src/repro``; see
 ``docs/invariants.md`` for the rule catalogue.
 """
 
@@ -39,7 +36,6 @@ from repro.analysis.core import (
 # Importing the checker modules registers them with the registry.
 from repro.analysis.checkers import (  # noqa: F401  (imported for side effects)
     materialisation,
-    numpy_guard,
     snapshot_dtype,
     twin_parity,
 )

@@ -3,14 +3,14 @@
 Usage::
 
     python -m repro.analysis src/repro            # whole tree, all checkers
-    python -m repro.analysis --select NPG src/repro
+    python -m repro.analysis --select TWIN src/repro
     python -m repro.analysis --list-rules
     python -m repro.analysis --format json src/repro
 
 Exit status 0 means no findings; 1 means findings were reported; 2 means
 the engine itself could not run (bad paths, syntax errors).  The engine is
-pure stdlib — this command is part of the no-numpy CI smoke precisely
-because it must keep working on the fallback matrix.
+pure stdlib, so this command runs on a bare interpreter without the
+package's dependencies installed.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SEL",
         help=(
             "only run the named checkers or rule families; accepts checker "
-            "names (numpy-guard), rule prefixes (NPG) or ids (NPG002); "
+            "names (twin-parity), rule prefixes (TWIN) or ids (TWIN002); "
             "repeatable"
         ),
     )

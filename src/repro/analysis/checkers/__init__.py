@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from repro.analysis.checkers import (  # noqa: F401  (registration side effects)
     materialisation,
-    numpy_guard,
     snapshot_dtype,
     twin_parity,
 )
 
-__all__ = ["materialisation", "numpy_guard", "snapshot_dtype", "twin_parity"]
+__all__ = ["materialisation", "snapshot_dtype", "twin_parity"]

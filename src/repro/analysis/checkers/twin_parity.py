@@ -1,7 +1,9 @@
 """TWIN — kernel ↔ pure-python twin parity.
 
-Every vectorised kernel in this codebase has a pure-python twin that the
-agreement suites compare element-wise at runtime.  The twins must also stay
+Vectorised kernels whose pure-python counterpart also runs in production
+(the dict backend, lazy level conversion, maintenance patches, sequential
+builds) form registered twin pairs that the agreement suites compare
+element-wise at runtime.  The twins must also stay
 *structurally* aligned, or the runtime comparison silently starts testing
 two different things.  Driven by the explicit registry in
 :mod:`repro.analysis.contracts`:

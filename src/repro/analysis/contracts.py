@@ -3,53 +3,20 @@
 Every checker is parameterised by :class:`~repro.analysis.core.AnalysisConfig`;
 this module builds the config describing the real tree.  Editing these
 tables is how the contracts evolve: adding a vectorised kernel means adding
-its twin registration, promoting a module to kernel status means adding it
-to the allowlist — and the diff review sees the contract change next to the
-code change.
+its twin registration — and the diff review sees the contract change next to
+the code change.
 """
 
 from __future__ import annotations
 
 from repro.analysis.core import AnalysisConfig, TwinPair
 
-#: Modules allowed to import numpy unguarded at top level.  Everything else
-#: must use the ``graph.csr`` guard (``HAS_NUMPY`` + ``if HAS_NUMPY:``) or a
-#: ``try/except ImportError``; kernel modules may only be imported lazily
-#: (function-local) or under a guard, so the no-numpy fallback matrix stays
-#: importable end to end.
-KERNEL_MODULES = (
-    "repro.decomposition.csr_kernels",
-    "repro.index.csr_build",
-    "repro.index.parallel_build",
-)
-
-#: Entry modules of the dict/no-numpy fallback path.  The no-numpy CI job
-#: imports the public API and both CLIs; every module transitively reachable
-#: from these over *top-level unguarded* imports must stay kernel-free.
-FALLBACK_ROOTS = (
-    "repro",
-    "repro.api",
-    "repro.__main__",
-    "repro.bench.__main__",
-)
-
 #: The kernel ↔ pure-python twin registry.  ``aliases`` maps kernel
-#: parameter spellings onto the twin's (the array kernels abbreviate
-#: ``num_upper`` → ``num_u``); ``kernel_only``/``twin_only`` name the
-#: representation-specific parameters each side legitimately has alone.
+#: parameter spellings onto the twin's; ``kernel_only``/``twin_only`` name
+#: the representation-specific parameters each side legitimately has alone.
 #: Pairs with ``signature=False`` align structurally rather than
 #: positionally — only their docstring ``Contract:`` lines are compared.
-_TRIO_ALIASES = {
-    "num_u": "num_upper",
-    "num_l": "num_lower",
-    "query_upper": "query_in_upper",
-}
-
 TWIN_REGISTRY = (
-    TwinPair(
-        kernel="repro.decomposition.csr_kernels:csr_significant_edges",
-        twin="repro.search.edge_scs:significant_edge_indices",
-    ),
     TwinPair(
         kernel="repro.decomposition.csr_kernels:csr_offsets_fixed_primary",
         twin="repro.decomposition.offsets:_offsets_for_fixed_primary",
@@ -68,21 +35,6 @@ TWIN_REGISTRY = (
             "ext_offset_l",
         ),
         twin_only=("internal", "external"),
-    ),
-    TwinPair(
-        kernel="repro.decomposition.csr_kernels:_peel_mask",
-        twin="repro.search.edge_scs:_peel_indices",
-        aliases=_TRIO_ALIASES,
-    ),
-    TwinPair(
-        kernel="repro.decomposition.csr_kernels:_binary_over_edges",
-        twin="repro.search.edge_scs:_binary_indices",
-        aliases=_TRIO_ALIASES,
-    ),
-    TwinPair(
-        kernel="repro.decomposition.csr_kernels:_expand_over_edges",
-        twin="repro.search.edge_scs:_expand_indices",
-        aliases=_TRIO_ALIASES,
     ),
     TwinPair(
         kernel="repro.index.traversal:bfs_over_arrays",
@@ -192,8 +144,6 @@ SNAPSHOT_READONLY_MODULES = ("repro.serving.snapshot",)
 def default_config() -> AnalysisConfig:
     """The :class:`AnalysisConfig` describing this repository."""
     return AnalysisConfig(
-        kernel_modules=KERNEL_MODULES,
-        fallback_roots=FALLBACK_ROOTS,
         twin_registry=TWIN_REGISTRY,
         materialisation_entry_points=MATERIALISATION_ENTRY_POINTS,
         materialisation_dispatch=MATERIALISATION_DISPATCH,
@@ -207,8 +157,6 @@ def default_config() -> AnalysisConfig:
 
 
 __all__ = [
-    "FALLBACK_ROOTS",
-    "KERNEL_MODULES",
     "MATERIALISATION_BANNED_ATTRS",
     "MATERIALISATION_BANNED_CALLS",
     "MATERIALISATION_DISPATCH",

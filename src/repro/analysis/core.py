@@ -1,7 +1,7 @@
 """Core of the invariant lint engine: modules, findings, checker registry.
 
 Everything here is deliberately pure ``ast`` + stdlib so the engine itself
-stays importable (and runnable) on the no-numpy fallback matrix.  A
+stays importable (and runnable) without the package's dependencies.  A
 :class:`Project` is a parsed view of one or more python package trees with
 dotted-name resolution; checkers consume it and emit :class:`Finding`
 records tagged with stable rule ids.
@@ -183,11 +183,6 @@ class AnalysisConfig:
     silently depend on global state.
     """
 
-    # numpy-guard
-    kernel_modules: Tuple[str, ...] = ()
-    fallback_roots: Tuple[str, ...] = ()
-    numpy_guard_flags: Tuple[str, ...] = ("HAS_NUMPY", "TYPE_CHECKING")
-
     # twin parity
     twin_registry: Tuple[TwinPair, ...] = ()
 
@@ -269,8 +264,8 @@ def run_analysis(
 ) -> List[Finding]:
     """Run the selected checkers and return sorted findings.
 
-    ``select`` names checkers (``numpy-guard``) or rule prefixes/ids
-    (``NPG``, ``TWIN002``); ``None`` runs everything.  ``config`` defaults to
+    ``select`` names checkers (``twin-parity``) or rule prefixes/ids
+    (``TWIN``, ``MAT002``); ``None`` runs everything.  ``config`` defaults to
     the repository contracts.
     """
     if config is None:

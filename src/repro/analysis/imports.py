@@ -1,127 +1,16 @@
-"""Import extraction and the module import graph.
-
-The numpy-guard contract is a property of *how* an import is written, not
-just what is imported: ``import numpy`` at module top level hard-fails the
-no-numpy fallback matrix, while the same import inside ``try/except
-ImportError`` or under ``if HAS_NUMPY:`` degrades gracefully, and a
-function-local import merely defers the failure to call time.  This module
-classifies every import of a tree along those axes and builds the top-level
-unguarded import graph that reachability checks walk.
-"""
+"""Import-target resolution onto project modules."""
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Optional
 
-from repro.analysis.core import Module, Project
-
-_GUARD_EXCEPTIONS = {
-    "ImportError",
-    "ModuleNotFoundError",
-    "Exception",
-    "BaseException",
-}
-
-
-@dataclass(frozen=True)
-class ImportRecord:
-    """One import statement, classified.
-
-    ``target`` is the imported dotted module (relative imports resolved);
-    ``scope`` is ``"top"`` / ``"function"`` / ``"class"``; ``guard`` is
-    ``None`` for a plain import, ``"try"`` for try/except-ImportError,
-    ``"flag"`` for an ``if HAS_NUMPY:`` / ``if TYPE_CHECKING:`` block.
-    """
-
-    target: str
-    node: ast.stmt
-    scope: str
-    guard: Optional[str]
-
-    @property
-    def top_level_unguarded(self) -> bool:
-        return self.scope == "top" and self.guard is None
-
-
-def _guard_of(
-    ancestors: Sequence[ast.AST], flags: Iterable[str]
-) -> Tuple[str, Optional[str]]:
-    """Classify the lexical position described by ``ancestors``."""
-    scope = "top"
-    guard: Optional[str] = None
-    flag_names = set(flags)
-    for i, node in enumerate(ancestors):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = "function"
-        elif isinstance(node, ast.ClassDef):
-            if scope == "top":
-                scope = "class"
-        elif isinstance(node, ast.Try):
-            if any(_handler_guards(handler) for handler in node.handlers):
-                # Only the ``try:`` body is protected by the handlers.
-                child = ancestors[i + 1]
-                if any(child is stmt for stmt in node.body):
-                    guard = "try"
-        elif isinstance(node, ast.If):
-            if _mentions_flag(node.test, flag_names):
-                guard = guard or "flag"
-    return scope, guard
-
-
-def _handler_guards(handler: ast.ExceptHandler) -> bool:
-    if handler.type is None:
-        return True
-    names: List[str] = []
-    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
-    for node in types:
-        if isinstance(node, ast.Name):
-            names.append(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.append(node.attr)
-    return any(name in _GUARD_EXCEPTIONS for name in names)
-
-
-def _mentions_flag(test: ast.expr, flags: Set[str]) -> bool:
-    for node in ast.walk(test):
-        if isinstance(node, ast.Name) and node.id in flags:
-            return True
-        if isinstance(node, ast.Attribute) and node.attr in flags:
-            return True
-    return False
-
-
-def module_imports(
-    project: Project, module: Module, flags: Iterable[str] = ("HAS_NUMPY", "TYPE_CHECKING")
-) -> List[ImportRecord]:
-    """Every import of ``module``, classified by scope and guard."""
-    records: List[ImportRecord] = []
-
-    def visit(node: ast.AST, ancestors: Tuple[ast.AST, ...]) -> None:
-        if isinstance(node, ast.Import):
-            scope, guard = _guard_of(ancestors + (node,), flags)
-            for alias in node.names:
-                records.append(ImportRecord(alias.name, node, scope, guard))
-        elif isinstance(node, ast.ImportFrom):
-            scope, guard = _guard_of(ancestors + (node,), flags)
-            if node.level:
-                target = project.resolve_relative(module, node.level, node.module)
-            else:
-                target = node.module or ""
-            if target:
-                records.append(ImportRecord(target, node, scope, guard))
-        for child in ast.iter_child_nodes(node):
-            visit(child, ancestors + (node,))
-
-    visit(module.tree, ())
-    return records
+from repro.analysis.core import Project
 
 
 def normalise_target(project: Project, target: str) -> Optional[str]:
     """Map an import target onto a project module name, if it names one.
 
-    ``from repro.graph.csr import HAS_NUMPY`` targets ``repro.graph.csr``;
+    ``from repro.graph.csr import freeze`` targets ``repro.graph.csr``;
     ``from repro.graph import csr`` targets ``repro.graph`` but *may* bind
     the submodule — both spellings resolve to the deepest project module
     matching a prefix of ``target``.
@@ -134,51 +23,4 @@ def normalise_target(project: Project, target: str) -> Optional[str]:
     return None
 
 
-def import_graph(
-    project: Project, flags: Iterable[str] = ("HAS_NUMPY", "TYPE_CHECKING")
-) -> Dict[str, Set[str]]:
-    """Top-level *unguarded* import edges between project modules.
-
-    These are exactly the imports that execute unconditionally when a module
-    is imported — the edges along which a hard numpy dependency propagates.
-    Importing any module also executes its ancestor packages, so edges to
-    ``pkg.__init__`` chains are included.
-    """
-    graph: Dict[str, Set[str]] = {name: set() for name in project.module_names()}
-    for module in project.modules():
-        edges = graph[module.name]
-        # Importing pkg.sub executes pkg/__init__ first.
-        parts = module.name.split(".")
-        for end in range(1, len(parts)):
-            ancestor = ".".join(parts[:end])
-            if ancestor in project and ancestor != module.name:
-                edges.add(ancestor)
-        for record in module_imports(project, module, flags):
-            if not record.top_level_unguarded:
-                continue
-            resolved = normalise_target(project, record.target)
-            if resolved is not None and resolved != module.name:
-                edges.add(resolved)
-    return graph
-
-
-def reachable_from(graph: Dict[str, Set[str]], roots: Iterable[str]) -> Set[str]:
-    """Transitive closure of ``roots`` over the import graph."""
-    seen: Set[str] = set()
-    stack = [root for root in roots if root in graph]
-    while stack:
-        name = stack.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        stack.extend(graph.get(name, ()))
-    return seen
-
-
-__all__ = [
-    "ImportRecord",
-    "import_graph",
-    "module_imports",
-    "normalise_target",
-    "reachable_from",
-]
+__all__ = ["normalise_target"]

@@ -13,16 +13,16 @@ through the index's array-backed CSR query path: the index is frozen into
 flat per-level arrays once for the whole batch, answers come back in input
 order, and each element is identical to the corresponding sequential call.
 
-Step 2 is array-native whenever that query path exists (numpy installed):
-retrieval yields the community as raw parallel edge arrays and the SCS
-kernels of :mod:`repro.decomposition.csr_kernels` peel those arrays directly,
-so no intermediate graph object — not even a lazy one — is built per query.
+Step 2 is array-native for every index that exposes
+``batch_significant_edges`` (the degeneracy family and snapshots): retrieval
+yields the community as raw parallel edge arrays and the SCS kernels of
+:mod:`repro.decomposition.csr_kernels` peel those arrays directly, so no
+intermediate graph object — not even a lazy one — is built per query.
 Answers come back as :class:`~repro.serving.wire.DeferredCommunity` graphs
 that materialise their adjacency dicts only if something reads the structure.
-Without numpy every entry point transparently falls back to the dict-backed
-``scs_*`` oracles (element-wise identical answers, see the agreement suite);
-``method="auto"`` resolves through the one shared rule in
-:func:`repro.search.resolve_scs_method` on both paths.
+Other indexes run the dict-backed ``scs_*`` routines (element-wise identical
+answers, see the agreement suite); ``method="auto"`` resolves through the one
+shared rule in :func:`repro.search.resolve_scs_method` on both paths.
 
 Example
 -------
@@ -168,7 +168,7 @@ class CommunitySearcher:
         back in input order and are element-wise identical to sequential
         calls; ``on_empty`` picks the policy for queries outside their core —
         ``"raise"`` (default), ``"none"`` (aligned placeholder) or ``"skip"``
-        (drop).  Without numpy the stream falls back to per-query retrieval.
+        (drop).
         """
         return self._index.batch_community(queries, on_empty=on_empty)
 
@@ -203,10 +203,7 @@ class CommunitySearcher:
                 on_empty,
             )
         index = self._index
-        if (
-            hasattr(index, "batch_significant_edges")
-            and index.query_path() is not None
-        ):
+        if hasattr(index, "batch_significant_edges"):
             # Array-native pipeline: retrieval and extraction run over the
             # wire edge arrays (levels converted lazily at most once for the
             # whole stream) and no dict graph is built per community.
@@ -266,8 +263,7 @@ class CommunitySearcher:
         worker a cross-batch answer cache of that capacity;
         ``supervised=True`` returns a
         :class:`~repro.serving.supervisor.SupervisedCommunityServer`, which
-        respawns crashed workers instead of failing the batch.  Requires
-        numpy.
+        respawns crashed workers instead of failing the batch.
         """
         from repro.serving.server import CommunityServer
         from repro.serving.snapshot import SnapshotIndex, save_snapshot

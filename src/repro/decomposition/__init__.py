@@ -7,8 +7,8 @@
 * :mod:`~repro.decomposition.degeneracy` — the degeneracy δ (Definition 7).
 * :mod:`~repro.decomposition.csr_kernels` — vectorised CSR twins of the
   peeling / offset / degeneracy kernels, selected via the ``backend=``
-  parameter of the functions above (not imported here: it requires numpy,
-  which stays optional).
+  parameter of the functions above (not imported here: the dispatchers load
+  it on first CSR use).
 """
 
 from repro.decomposition.abcore import abcore_subgraph, abcore_vertices

@@ -15,10 +15,6 @@ frozen graph; translating back to :class:`~repro.graph.bipartite.Vertex`
 handles is the caller's job (see the ``backend=`` dispatchers).  Every kernel
 is semantically identical to its dict twin — the cross-backend agreement suite
 (``tests/test_csr_agreement.py``) asserts exact equality on randomized inputs.
-
-This module imports numpy unconditionally; callers must route through
-:func:`repro.graph.csr.resolve_backend`, which never selects the CSR backend
-when numpy is missing.
 """
 
 from __future__ import annotations
@@ -30,10 +26,10 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import Side
 from repro.graph.csr import CSRBipartiteGraph
-from repro.search.edge_scs import SCS_EDGE_METHODS
 from repro.utils.validation import check_thresholds
 
 __all__ = [
+    "SCS_EDGE_METHODS",
     "csr_abcore_masks",
     "csr_degeneracy",
     "csr_offsets_fixed_primary",
@@ -42,6 +38,10 @@ __all__ = [
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: The step-2 methods :func:`csr_significant_edges` runs over edge arrays
+#: (``"baseline"`` is graph-based and stays with the dict ``scs_*`` routines).
+SCS_EDGE_METHODS = ("peel", "expand", "binary")
 
 
 def _expand_neighbors(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray) -> np.ndarray:
@@ -358,9 +358,8 @@ def csr_region_offsets_fixed_primary(
 #
 # Unlike the kernels above, these operate on the *wire form* of one retrieved
 # community — three parallel edge arrays — rather than a frozen whole-graph
-# CSR.  The pure-python twins live in :mod:`repro.search.edge_scs`; both are
-# asserted element-wise identical to the dict-backed ``scs_*`` oracle by the
-# agreement suite.
+# CSR.  They are asserted element-wise identical to the dict-backed ``scs_*``
+# oracle by the agreement suite.
 
 
 def _edge_core(
@@ -432,8 +431,6 @@ def _peel_mask(
     Returns the kept edge positions (ascending).  Rounds remove every alive
     edge carrying the current minimum weight, cascade, and on query death
     restore the round and return the query's component.
-
-    Contract: remove minimum-weight edges round by round, cascade the core, and return the query's component of the last surviving round.
     """
     live = np.flatnonzero(alive)
     if np.unique(weight[live]).shape[0] <= 1:
@@ -493,7 +490,8 @@ def _binary_over_edges(
 ) -> np.ndarray:
     """Binary search over the distinct weights; array twin of ``scs_binary``.
 
-    Contract: query component of the core at the largest weight threshold keeping the query alive; error if none does.
+    Returns the query's component of the core at the largest weight threshold
+    that keeps the query alive; raises if none does.
     """
     distinct = np.unique(weight)
     low, high = 0, int(distinct.shape[0]) - 1
@@ -534,9 +532,8 @@ def _expand_over_edges(
     The union-find itself runs as a python loop over the interned ids (its
     per-edge work is O(α(n)) and resists vectorisation), but each validation —
     the expensive part the geometric rule amortises — is the vectorised core
-    fixpoint plus masked peel above.
-
-    Contract: heaviest-first expansion with epsilon-geometric validation; the first component passing validation is the answer.
+    fixpoint plus masked peel above.  The first component passing
+    validation is the answer.
     """
     order = np.argsort(-weight, kind="stable")
     descending = weight[order]
@@ -659,15 +656,12 @@ def csr_significant_edges(
 ) -> np.ndarray:
     """Extract ``R(α,β)[q]`` from community edge arrays; return edge positions.
 
-    The vectorised counterpart of
-    :func:`repro.search.edge_scs.significant_edge_indices`: ``src`` / ``dst``
-    / ``weight`` are the parallel edge arrays of one retrieved
+    The array-native counterpart of the dict ``scs_*`` routines: ``src`` /
+    ``dst`` / ``weight`` are the parallel edge arrays of one retrieved
     (α,β)-community (endpoint ids live in two independent spaces, as on the
     wire), ``query_id`` names the query vertex in the space selected by
     ``query_in_upper``.  Returns the ascending ``np.int64`` positions whose
     edges form the significant community.
-
-    Contract: ascending positions of the query's significant (alpha,beta)-community edges, identical to the dict-backed scs oracle.
     """
     check_thresholds(alpha, beta)
     if method not in SCS_EDGE_METHODS:

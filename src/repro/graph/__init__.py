@@ -18,10 +18,9 @@ of the library builds on.  There are **two graph backends**:
 Algorithms never require callers to pick: every entry point that peels or
 builds an index takes ``backend="dict" | "csr" | "auto"`` and ``"auto"``
 freezes automatically above
-:data:`~repro.graph.csr.AUTO_CSR_EDGE_THRESHOLD` edges (falling back to the
-dict engine when numpy is unavailable).  Both backends are guaranteed to
-produce identical results — ``tests/test_csr_agreement.py`` enforces this on
-randomized inputs.
+:data:`~repro.graph.csr.AUTO_CSR_EDGE_THRESHOLD` edges.  Both backends are
+guaranteed to produce identical results — ``tests/test_csr_agreement.py``
+enforces this on randomized inputs.
 
 Supporting modules:
 

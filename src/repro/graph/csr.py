@@ -22,30 +22,18 @@ graph into a :class:`CSRBipartiteGraph` and ``thaw`` reconstructs an
 equivalent :class:`BipartiteGraph` (same vertices, edges, weights and name).
 The CSR form is strictly a *compute* representation — mutation always happens
 on the dict graph, then the graph is re-frozen.
-
-The module degrades gracefully when numpy is unavailable: importing it works,
-``HAS_NUMPY`` is ``False``, ``resolve_backend`` never selects ``"csr"`` under
-``"auto"``, and an explicit ``backend="csr"`` request raises
-:class:`~repro.exceptions.InvalidParameterError`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.exceptions import GraphError, InvalidParameterError, VertexNotFoundError
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex
 
-try:  # pragma: no cover - exercised implicitly by every CSR test
-    import numpy as np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - environment without numpy
-    np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
-
 __all__ = [
-    "HAS_NUMPY",
     "AUTO_CSR_EDGE_THRESHOLD",
     "BACKENDS",
     "CSRBipartiteGraph",
@@ -65,23 +53,17 @@ BACKENDS = ("dict", "csr", "auto")
 def resolve_backend(backend: str, graph: BipartiteGraph) -> str:
     """Resolve a ``backend=`` argument to a concrete ``"dict"`` or ``"csr"``.
 
-    ``"auto"`` picks CSR when numpy is importable and the graph has at least
-    :data:`AUTO_CSR_EDGE_THRESHOLD` edges; explicit requests are honoured
-    (``"csr"`` raises :class:`InvalidParameterError` without numpy).
+    ``"auto"`` picks CSR when the graph has at least
+    :data:`AUTO_CSR_EDGE_THRESHOLD` edges; explicit requests are honoured.
     """
     if backend not in BACKENDS:
         raise InvalidParameterError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
     if backend == "auto":
-        if HAS_NUMPY and graph.num_edges >= AUTO_CSR_EDGE_THRESHOLD:
+        if graph.num_edges >= AUTO_CSR_EDGE_THRESHOLD:
             return "csr"
         return "dict"
-    if backend == "csr" and not HAS_NUMPY:
-        raise InvalidParameterError(
-            "backend='csr' requires numpy, which is not installed; "
-            "use backend='dict' or backend='auto'"
-        )
     return backend
 
 
@@ -154,10 +136,6 @@ class CSRBipartiteGraph:
     @classmethod
     def freeze(cls, graph: BipartiteGraph) -> "CSRBipartiteGraph":
         """Snapshot ``graph`` into its CSR form."""
-        if not HAS_NUMPY:
-            raise InvalidParameterError(
-                "freezing to CSR requires numpy, which is not installed"
-            )
         upper_labels = list(graph.upper_labels())
         lower_labels = list(graph.lower_labels())
         upper_ids = {label: i for i, label in enumerate(upper_labels)}

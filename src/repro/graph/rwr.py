@@ -15,10 +15,10 @@ relevance between the two endpoints; we use the symmetric combination
 Two engines share the same update rule: the pure-python power iteration walks
 the dict adjacency in a canonical (``repr``-sorted) vertex order, so the same
 graph loaded in any edge order produces bit-identical scores; the CSR engine
-(``backend="csr"``, or ``"auto"`` on large graphs with numpy installed)
-freezes the graph once and runs every iteration as a handful of vectorised
-gathers and ``bincount`` scatter-adds, which is what makes deriving weights
-for 100k-edge benchmark graphs cheap.  The two engines agree to float
+(``backend="csr"``, or ``"auto"`` on large graphs) freezes the graph once and
+runs every iteration as a handful of vectorised gathers and ``bincount``
+scatter-adds, which is what makes deriving weights for 100k-edge benchmark
+graphs cheap.  The two engines agree to float
 round-off (their summation orders differ); each engine is individually
 deterministic for a given graph.
 """
@@ -27,14 +27,11 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex
-from repro.graph.csr import HAS_NUMPY, CSRBipartiteGraph, resolve_backend
-
-if HAS_NUMPY:  # pragma: no branch - trivial import guard
-    import numpy as np
-else:  # pragma: no cover - environment without numpy
-    np = None  # type: ignore[assignment]
+from repro.graph.csr import CSRBipartiteGraph, resolve_backend
 
 __all__ = ["rwr_scores", "rwr_edge_weights"]
 
@@ -169,8 +166,8 @@ def rwr_scores(
     backend:
         ``"dict"`` for the pure-python iteration, ``"csr"`` for the vectorised
         one over a frozen CSR adjacency, ``"auto"`` (default) to pick CSR on
-        large graphs when numpy is available.  Both engines implement the
-        same update rule and agree to float round-off.
+        large graphs.  Both engines implement the same update rule and agree
+        to float round-off.
     """
     _check_restart(graph, restart, restart_prob)
     if resolve_backend(backend, graph) == "csr":

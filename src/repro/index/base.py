@@ -151,18 +151,14 @@ class CommunityIndex(abc.ABC):
         """
         return apply_batch_policy(queries, self.community, on_empty)
 
-    def query_path(self) -> "Optional[ArrayQueryPath]":
-        """The array-backed query engine of this index (``None`` sans numpy).
+    def query_path(self) -> "ArrayQueryPath":
+        """The array-backed query engine of this index.
 
         Lazily creates and caches one
         :class:`~repro.index.traversal.ArrayQueryPath` over the indexed
         graph's vertices; subclasses that build level arrays natively (the
         CSR construction backend) pre-populate ``self._array_path`` instead.
         """
-        from repro.graph.csr import HAS_NUMPY
-
-        if not HAS_NUMPY:
-            return None
         path = getattr(self, "_array_path", None)
         if path is None:
             from repro.index.traversal import ArrayQueryPath

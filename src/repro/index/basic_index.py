@@ -189,12 +189,9 @@ class BasicIndex(CommunityIndex):
         """Batched queries through the array path (lazily converted levels).
 
         Mirrors :meth:`DegeneracyIndex.batch_community`: each queried level is
-        flattened into arrays at most once for the whole stream; without
-        numpy the generic sequential implementation answers instead.
+        flattened into arrays at most once for the whole stream.
         """
         path = self.query_path()
-        if path is None:
-            return super().batch_community(queries, on_empty=on_empty)
         cache: Dict = {}
 
         def answer_one(query: Vertex, alpha: int, beta: int) -> BipartiteGraph:

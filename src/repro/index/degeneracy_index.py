@@ -61,8 +61,8 @@ class DegeneracyIndex(CommunityIndex):
 
     ``n_jobs`` shards the CSR backend's per-level construction passes across
     a process pool (see :mod:`repro.index.parallel_build`); every worker
-    count — including the dict backend and the no-numpy fallback, which run
-    sequentially regardless — produces element-wise identical structures.
+    count — including the dict backend, which runs sequentially regardless —
+    produces element-wise identical structures.
     """
 
     def __init__(
@@ -275,13 +275,10 @@ class DegeneracyIndex(CommunityIndex):
         whole stream (natively for CSR-built indexes, lazily per touched
         level otherwise) and every retrieval reuses the same visited scratch,
         so per-query cost is the vectorised BFS plus the answer allocation.
-        Falls back to the generic sequential implementation without numpy.
         Results are element-wise identical to per-query :meth:`community`
         calls; see :meth:`CommunityIndex.batch_community` for ``on_empty``.
         """
         path = self.query_path()
-        if path is None:
-            return super().batch_community(queries, on_empty=on_empty)
         cache: Dict = {}
         return apply_batch_policy(
             queries,
@@ -328,8 +325,7 @@ class DegeneracyIndex(CommunityIndex):
         dst lower ids, weights)`` arrays straight from the SCS kernels — no
         graph object is built anywhere in the pipeline.  ``method`` accepts
         ``"peel"`` / ``"expand"`` / ``"binary"`` / ``"auto"`` (``"baseline"``
-        is inherently graph-based and stays with the dict path).  Requires
-        numpy; callers check :meth:`query_path` first.
+        is inherently graph-based and stays with the dict path).
         """
         from repro.search import resolve_scs_method
 
@@ -339,11 +335,6 @@ class DegeneracyIndex(CommunityIndex):
                 "('peel', 'expand', 'binary', 'auto')"
             )
         path = self.query_path()
-        if path is None:
-            raise InvalidParameterError(
-                "array-native significant search requires numpy, "
-                "which is not installed"
-            )
         if cache is None:
             cache = {}
 
@@ -373,14 +364,9 @@ class DegeneracyIndex(CommunityIndex):
         these structures.  Levels the array query path has not touched yet are
         converted from their dict lists on the spot, so the export works for
         every construction backend — and for incrementally maintained indexes,
-        whose array path is rebuilt lazily from the patched lists.  Requires
-        numpy.
+        whose array path is rebuilt lazily from the patched lists.
         """
         path = self.query_path()
-        if path is None:
-            raise InvalidParameterError(
-                "exporting level arrays requires numpy, which is not installed"
-            )
         keys = []
         for tau in range(1, self._delta + 1):
             alpha_key, beta_key = ("alpha", tau), ("beta", tau)

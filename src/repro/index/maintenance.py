@@ -55,6 +55,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 if TYPE_CHECKING:
     from repro.graph.csr import CSRBipartiteGraph
     from repro.index.csr_build import LevelArrays
@@ -64,14 +66,10 @@ if TYPE_CHECKING:
 from repro.decomposition.abcore import abcore_vertices
 from repro.decomposition.offsets import region_offsets_fixed_primary
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.views import induced_subgraph
 from repro.index.base import IndexStats
 from repro.index.degeneracy_index import DegeneracyIndex
 from repro.utils.timer import Timer
-
-if HAS_NUMPY:  # pragma: no branch - trivial import guard
-    import numpy as np
 
 __all__ = [
     "DEFAULT_REGION_BUDGET",

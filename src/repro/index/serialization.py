@@ -7,13 +7,12 @@ deployments build once and reuse.  Two on-disk formats share one magic string:
   of tuples and dictionaries, dumped with :mod:`pickle` plus a small JSON
   side-car with human-readable statistics and provenance (backend, package
   version) so operators can tell saved indexes apart without loading them.
-  Works for every index type and without numpy, but re-materialises every
-  dict on load.
+  Works for every index type, but re-materialises every dict on load.
 * **version 2 — snapshot** (``format="snapshot"``): a directory of raw
   little-endian array segments with a JSON manifest, written by
   :mod:`repro.serving.snapshot` and reopened via ``numpy.memmap`` so the cold
-  start is near-instant.  Supported for the degeneracy-family indexes when
-  numpy is available; :func:`load_index` transparently detects and opens
+  start is near-instant.  Supported for the degeneracy-family indexes;
+  :func:`load_index` transparently detects and opens
   either format.
 """
 

@@ -25,18 +25,12 @@ from collections import deque
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-if TYPE_CHECKING:
-    import numpy as np
-
-    from repro.index.csr_build import LevelArrays
+import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex
-from repro.graph.csr import HAS_NUMPY
 
-if HAS_NUMPY:  # pragma: no branch - trivial import guard
-    import numpy as np
-else:  # pragma: no cover - environment without numpy
-    np = None  # type: ignore[assignment]
+if TYPE_CHECKING:
+    from repro.index.csr_build import LevelArrays
 
 __all__ = [
     "IndexEntry",
@@ -292,7 +286,7 @@ class ArrayQueryPath:
     Levels are either registered natively by the CSR construction backend
     (:meth:`set_level`) or converted lazily from the dict adjacency lists on
     first use (:meth:`ensure_level`), so only the levels a query stream
-    actually touches pay the conversion.  Requires numpy.
+    actually touches pay the conversion.
     """
 
     __slots__ = (

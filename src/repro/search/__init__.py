@@ -12,15 +12,13 @@ extract the significant (α,β)-community ``R``:
 * :func:`~repro.search.baseline.scs_baseline` — index-free expansion over the
   whole connected component (the paper's ``SCS-Baseline``).
 
-The dict-backed functions above are the *oracles*: each also has an
-array-native twin operating directly on the parallel edge arrays a frozen
-index retrieves, without materialising a graph object —
-:func:`repro.search.edge_scs.significant_edge_indices` (pure python, used on
-the no-numpy matrix) and
-:func:`repro.decomposition.csr_kernels.csr_significant_edges` (vectorised).
-The agreement suite asserts all three produce element-wise identical answers;
+The dict-backed functions above are the *oracles*: peel, expand and binary
+also have an array-native twin operating directly on the parallel edge arrays
+a frozen index retrieves, without materialising a graph object —
+:func:`repro.decomposition.csr_kernels.csr_significant_edges`.  The agreement
+suite asserts both produce element-wise identical answers;
 :meth:`repro.api.CommunitySearcher.significant_community` and the batch /
-serving entry points route through the array twins whenever an array query
+serving entry points route through the array twin whenever an array query
 path is available.
 
 ``method="auto"`` resolves with :func:`resolve_scs_method`: peeling when the

@@ -24,9 +24,6 @@ Four cooperating pieces turn a built index into an always-on service:
   concurrent client streams into the fleet, backed by a cross-batch,
   generation-keyed :class:`~repro.serving.answer_cache.AnswerCache` of
   component answers.
-
-Everything here requires numpy; without it, persistence falls back to the
-version-1 pickle format of :mod:`repro.index.serialization`.
 """
 
 from repro.serving.answer_cache import AnswerCache

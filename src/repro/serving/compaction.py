@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from repro.exceptions import InvalidParameterError
-from repro.graph.csr import HAS_NUMPY
 from repro.serving.snapshot import (
     DATA_NAME,
     MANIFEST_NAME,
@@ -103,10 +101,6 @@ def compact_snapshot(
     writer has no pending changes — i.e. compact right after a save — since
     folding only covers what the chain already recorded.
     """
-    if not HAS_NUMPY:
-        raise InvalidParameterError(
-            "compacting a snapshot requires numpy, which is not installed"
-        )
     from repro.index.maintenance import DynamicDegeneracyIndex
 
     directory = Path(directory)

@@ -3,8 +3,9 @@
 :class:`CommunityServer` turns one snapshot directory into a query-serving
 fleet: N worker processes each reopen the snapshot read-only (one set of
 physical pages, shared by the OS), the driving process shards every batch of
-``(query, alpha, beta)`` triples across a task queue, and the shard results
-are reassembled in input order so the caller sees exactly what the
+``(query, alpha, beta)`` triples across the workers' private task queues, and
+the shard results, read back from one private result pipe per worker, are
+reassembled in input order so the caller sees exactly what the
 single-process batch APIs return — including the ``on_empty`` policy and the
 position at which a ``"raise"`` policy fires.
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import queue as queue_module
+import multiprocessing.connection
 import shutil
 import threading
 import time
@@ -49,7 +50,7 @@ PathLike = Union[str, Path]
 
 #: How long to wait for the workers to map their snapshots before giving up.
 _STARTUP_TIMEOUT = 120.0
-#: Poll interval used to interleave queue reads with worker liveness checks.
+#: Poll interval used to interleave result reads with worker liveness checks.
 _POLL_SECONDS = 0.2
 
 
@@ -102,8 +103,8 @@ class CommunityServer:
         Seconds to wait for the next shard result of a running batch before
         giving up (and stopping the fleet).  ``None`` — the default — waits
         indefinitely: worker *crashes* are still detected promptly via their
-        exit codes, so the timeout only matters as a guard against a wedged
-        (alive but silent) worker.
+        result pipes and exit codes, so the timeout only matters as a guard
+        against a wedged (alive but silent) worker.
     cache_entries:
         When > 0, every worker keeps a cross-batch
         :class:`~repro.serving.answer_cache.AnswerCache` of this capacity
@@ -145,10 +146,11 @@ class CommunityServer:
         self._batch_timeout = batch_timeout
         self._cache_entries = cache_entries
         self._processes: List[multiprocessing.Process] = []
-        # One private task queue per worker, aligned with _processes.
+        # One private task queue and result pipe (read end) per worker,
+        # aligned with _processes.
         self._task_queues: List = []
+        self._channels: List = []
         self._context = None
-        self._results = None
         self._batch_seq = 0
         self._spawned = 0
         self._labels = None
@@ -211,12 +213,12 @@ class CommunityServer:
                     else "spawn"
                 )
             self._context = multiprocessing.get_context(method)
-            self._results = self._context.Queue()
             self._batch_crashes = 0
             try:
                 for _ in range(self._num_workers):
-                    tasks, process = self._spawn_worker()
+                    tasks, channel, process = self._spawn_worker()
                     self._task_queues.append(tasks)
+                    self._channels.append(channel)
                     self._processes.append(process)
                 ready = 0
                 while ready < self._num_workers:
@@ -230,23 +232,54 @@ class CommunityServer:
                 raise
             return self
 
-    def _spawn_worker(self) -> Tuple[object, multiprocessing.Process]:
-        """Fork one worker with a fresh private task queue; return both."""
+    def _spawn_worker(self) -> Tuple[object, object, multiprocessing.Process]:
+        """Fork one worker; return its task queue, result pipe and process.
+
+        The worker holds the only write end of its result pipe (the parent
+        closes its copy once the child has started), so a worker that dies —
+        even halfway through writing a message — reads as end-of-file on its
+        own pipe instead of leaving a torn frame where other workers write.
+        """
         self._spawned += 1
         tasks = self._context.Queue()
+        channel, writer = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=worker_main,
             args=(
                 str(self._snapshot_dir),
                 tasks,
-                self._results,
+                writer,
                 self._cache_entries,
             ),
             daemon=True,
             name=f"repro-serve-{self._spawned}",
         )
-        process.start()
-        return tasks, process
+        try:
+            process.start()
+        finally:
+            writer.close()
+        return tasks, channel, process
+
+    def _replace_worker(self, slot: int) -> multiprocessing.Process:
+        """Reap the dead worker in ``slot`` and fork a replacement.
+
+        The corpse's channels are abandoned, never drained: a worker
+        SIGKILLed mid-``Queue.get`` dies holding its task queue's internal
+        read lock, and one killed mid-send leaves a torn frame in its pipe.
+        """
+        corpse = self._processes[slot]
+        corpse.join(timeout=5.0)
+        if corpse.is_alive():  # pragma: no cover - closed its pipe, then hung
+            corpse.kill()
+            corpse.join(timeout=5.0)
+        self._task_queues[slot].cancel_join_thread()
+        self._task_queues[slot].close()
+        self._channels[slot].close()
+        tasks, channel, process = self._spawn_worker()
+        self._task_queues[slot] = tasks
+        self._channels[slot] = channel
+        self._processes[slot] = process
+        return process
 
     def worker_pids(self) -> List[int]:
         """PIDs of the live worker processes (empty when stopped)."""
@@ -281,12 +314,13 @@ class CommunityServer:
                     process.terminate()
                     process.join(timeout=5.0)
             self._processes = []
-            for q in self._task_queues + [self._results]:
-                if q is not None:
-                    q.cancel_join_thread()
-                    q.close()
+            for tasks in self._task_queues:
+                tasks.cancel_join_thread()
+                tasks.close()
+            for channel in self._channels:
+                channel.close()
             self._task_queues = []
-            self._results = None
+            self._channels = []
 
     def reload(self) -> "CommunityServer":
         """Swap the workers onto the snapshot directory's current version.
@@ -523,24 +557,34 @@ class CommunityServer:
     def _next_message(self, timeout: Optional[float]) -> Tuple[object, ...]:
         """Read one protocol message, watching worker liveness while waiting.
 
-        ``timeout=None`` waits indefinitely — worker deaths are still caught
-        via their exit codes on every poll and handed to
-        :meth:`_handle_worker_death`, so only a wedged-but-alive worker could
-        stall the caller.
+        ``timeout=None`` waits indefinitely — a dead worker shows up as
+        end-of-file on its result pipe (also mid-message) or through its
+        exit code, and is handed to :meth:`_handle_worker_death`, so only a
+        wedged-but-alive worker could stall the caller.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            try:
-                return self._results.get(timeout=_POLL_SECONDS)
-            except queue_module.Empty:
+            ready = multiprocessing.connection.wait(
+                self._channels, timeout=_POLL_SECONDS
+            )
+            if ready:
+                channel = ready[0]
+                try:
+                    return channel.recv()
+                except (EOFError, OSError):
+                    # The worker's write end is gone: it died, possibly
+                    # halfway through a message.
+                    slot = self._channels.index(channel)
+                    self._handle_worker_death([self._processes[slot]])
+            else:
                 dead = [p for p in self._processes if p.exitcode not in (None, 0)]
                 if dead:
                     self._handle_worker_death(dead)
-                if deadline is not None and time.monotonic() > deadline:
-                    self.stop(_cleanup=False)
-                    raise ServingError(
-                        f"timed out after {timeout:.0f}s waiting for worker results"
-                    )
+            if deadline is not None and time.monotonic() > deadline:
+                self.stop(_cleanup=False)
+                raise ServingError(
+                    f"timed out after {timeout:.0f}s waiting for worker results"
+                )
 
     @staticmethod
     def _apply_policy(

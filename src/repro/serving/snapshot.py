@@ -34,9 +34,6 @@ names its data and label files explicitly, and after a compaction carries a
 ``compacted`` record naming the folded base — so delta segments a crashed
 compaction cleanup left behind are recognised and skipped instead of
 corrupting the chain.
-
-Requires numpy; dict-backend deployments without numpy keep using the pickle
-format via :func:`repro.index.serialization.save_index`.
 """
 
 from __future__ import annotations
@@ -58,20 +55,16 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.exceptions import (
     EmptyCommunityError,
     IndexConsistencyError,
     InvalidParameterError,
 )
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex
-from repro.graph.csr import HAS_NUMPY
 from repro.index.base import CommunityIndex, IndexStats, apply_batch_policy
 from repro.utils.validation import check_query_membership, check_thresholds
-
-if HAS_NUMPY:  # pragma: no branch - trivial import guard
-    import numpy as np
-else:  # pragma: no cover - environment without numpy
-    np = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:
     from repro.graph.csr import CSRBipartiteGraph
@@ -199,11 +192,6 @@ def save_snapshot(index: CommunityIndex, directory: PathLike) -> Path:
     journal is bound to the fresh base so later saves to the same directory
     can append deltas instead of rewriting.
     """
-    if not HAS_NUMPY:
-        raise InvalidParameterError(
-            "writing a snapshot requires numpy, which is not installed; "
-            "use save_index(..., format='pickle') instead"
-        )
     export = getattr(index, "export_level_arrays", None)
     if export is None:
         raise InvalidParameterError(
@@ -608,11 +596,6 @@ def load_snapshot(directory: PathLike) -> "SnapshotIndex":
     """
     directory = Path(directory)
     manifest = _read_manifest(directory)
-    if not HAS_NUMPY:
-        raise InvalidParameterError(
-            f"opening the snapshot at {directory} requires numpy, which is "
-            "not installed"
-        )
     labels = _read_labels(directory, manifest)
     segment = _segment_reader(directory, manifest, DATA_NAME)
     graph_arrays = tuple(segment(f"graph/{field}") for field in _GRAPH_FIELDS)
@@ -729,11 +712,6 @@ def load_label_arrays(directory: PathLike) -> "Tuple[np.ndarray, np.ndarray]":
     """
     directory = Path(directory)
     manifest = _read_manifest(directory)
-    if not HAS_NUMPY:
-        raise InvalidParameterError(
-            f"reading the snapshot at {directory} requires numpy, which is "
-            "not installed"
-        )
     labels = _read_labels(directory, manifest)
     upper_arr = np.empty(len(labels["upper"]), dtype=object)
     upper_arr[:] = labels["upper"]

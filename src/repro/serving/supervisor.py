@@ -46,9 +46,9 @@ class SupervisedCommunityServer(CommunityServer):
     instead:
 
     1. reaps the dead process, abandons its private task queue (whose
-       internal read lock the corpse may still hold — the reason queues are
-       private per worker in the first place) and forks a replacement with a
-       fresh queue,
+       internal read lock the corpse may still hold) and result pipe (which
+       may hold a torn frame) — the reason both are private per worker in the
+       first place — and forks a replacement with fresh ones,
     2. reships every shard of the in-flight batch that has not produced a
        result yet (shards the dead worker never took are re-enqueued too —
        duplicates are harmless because shard results are idempotent and the
@@ -107,20 +107,9 @@ class SupervisedCommunityServer(CommunityServer):
                 f"deaths, budget {self._max_respawns_per_batch}; last: "
                 f"{names}) — giving up on this batch"
             )
-        replacements = []
-        for process in dead:
-            slot = self._processes.index(process)
-            process.join(timeout=5.0)
-            # A worker SIGKILLed mid-``Queue.get`` dies holding its queue's
-            # internal read lock; the queue is unusable and must be abandoned
-            # (never drained).  Each replacement gets a fresh private queue.
-            corpse_queue = self._task_queues[slot]
-            corpse_queue.cancel_join_thread()
-            corpse_queue.close()
-            tasks, replacement = self._spawn_worker()
-            self._task_queues[slot] = tasks
-            self._processes[slot] = replacement
-            replacements.append(replacement)
+        replacements = [
+            self._replace_worker(self._processes.index(process)) for process in dead
+        ]
         self._respawns += len(dead)
         _logger.warning(
             "respawned %d crashed worker(s): %s -> %s",

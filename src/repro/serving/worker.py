@@ -3,7 +3,8 @@
 Each worker reopens the shared snapshot read-only — the OS backs every
 worker's ``numpy.memmap`` with the same physical pages — wraps it in a
 :class:`~repro.api.CommunitySearcher` and then drains shards of query triples
-from the task queue until it receives the ``None`` stop sentinel.
+from its private task queue until it receives the ``None`` stop sentinel,
+sending every reply down its private result pipe.
 
 Shards are always answered with the ``on_empty="none"`` policy so the result
 list stays aligned with the shard: a ``None`` element marks a query outside
@@ -27,6 +28,7 @@ from typing import TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:
     from multiprocessing import Queue
+    from multiprocessing.connection import Connection
 
 __all__ = ["worker_main", "describe_error"]
 
@@ -37,7 +39,7 @@ def describe_error(exc: BaseException) -> Tuple[str, str, str]:
 
 
 def worker_main(
-    snapshot_dir: str, tasks: "Queue", results: "Queue", cache_entries: int = 0
+    snapshot_dir: str, tasks: "Queue", results: "Connection", cache_entries: int = 0
 ) -> None:
     """Serve shards from ``tasks`` until the ``None`` sentinel arrives.
 
@@ -72,9 +74,9 @@ def worker_main(
             )
             index.use_answer_cache(answer_cache)
     except BaseException as exc:  # noqa: BLE001 - report, then die quietly
-        results.put(("fatal", pid, describe_error(exc)))
+        results.send(("fatal", pid, describe_error(exc)))
         return
-    results.put(("ready", pid))
+    results.send(("ready", pid))
     # One component cache per batch (unless a cross-batch AnswerCache is
     # configured): the driver runs batches serially, so a new batch_id means
     # the previous batch's shards are all done and its memoised components
@@ -116,6 +118,6 @@ def worker_main(
                     )
             else:
                 raise ValueError(f"unknown task kind {kind!r}")
-            results.put(("result", batch_id, shard_id, answers))
+            results.send(("result", batch_id, shard_id, answers))
         except BaseException as exc:  # noqa: BLE001 - ship failures to the driver
-            results.put(("error", batch_id, shard_id, describe_error(exc)))
+            results.send(("error", batch_id, shard_id, describe_error(exc)))

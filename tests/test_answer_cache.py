@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import InvalidParameterError
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.generators import power_law_bipartite
 from repro.serving.answer_cache import AnswerCache
 
@@ -127,7 +126,6 @@ class TestDictShapedProtocol:
         assert bucket.get(2) == ("b",)
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="snapshots require numpy")
 class TestSnapshotIntegration:
     """The cache plugged into the snapshot query path and the worker fleet."""
 

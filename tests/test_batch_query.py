@@ -7,7 +7,6 @@ import pytest
 from repro.api import CommunitySearcher
 from repro.exceptions import EmptyCommunityError, InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph, upper
-from repro.graph.csr import HAS_NUMPY
 from repro.index.basic_index import BasicIndex
 from repro.index.bicore_index import BicoreIndex
 from repro.index.degeneracy_index import DegeneracyIndex
@@ -15,11 +14,7 @@ from repro.index.maintenance import DynamicDegeneracyIndex
 
 from tests.conftest import make_random_weighted_graph
 
-# Without numpy the batch APIs transparently fall back to the generic
-# sequential implementation, so only the explicit-CSR variants skip; the dict
-# variants double as coverage of the fallback in the no-numpy CI job.
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="explicit CSR backend needs numpy")
-BACKENDS = ["dict", pytest.param("csr", marks=needs_numpy)]
+BACKENDS = ["dict", "csr"]
 
 THRESHOLD_GRID = [(1, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2), (4, 4)]
 
@@ -96,8 +91,8 @@ class TestDegeneracyIndexBatch:
         assert after.same_structure(dynamic.community(upper("u0"), 1, 1))
 
     def test_generic_fallback_matches_array_path(self, random_graph):
-        # The base-class implementation (used when numpy is absent) must agree
-        # with the array path; BicoreIndex exercises it directly.
+        # The base-class implementation (BicoreIndex uses it) must agree with
+        # the array path.
         index = DegeneracyIndex(random_graph, backend="dict")
         bicore = BicoreIndex(random_graph)
         queries = all_queries(random_graph)

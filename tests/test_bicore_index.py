@@ -8,7 +8,6 @@ from repro.decomposition.abcore import abcore_vertices
 from repro.decomposition.degeneracy import degeneracy
 from repro.exceptions import EmptyCommunityError
 from repro.graph.bipartite import upper
-from repro.graph.csr import HAS_NUMPY
 from repro.index.bicore_index import BicoreIndex
 from repro.index.queries import online_community_query
 
@@ -67,8 +66,6 @@ class TestQv:
 
 class TestBackendAgreement:
     def test_csr_tables_identical_to_dict(self, random_graph):
-        if not HAS_NUMPY:
-            pytest.skip("the CSR backend requires numpy")
         dict_index = BicoreIndex(random_graph, backend="dict")
         csr_index = BicoreIndex(random_graph, backend="csr")
         assert csr_index.delta == dict_index.delta
@@ -78,8 +75,6 @@ class TestBackendAgreement:
         assert csr_index._beta_tables == dict_index._beta_tables
 
     def test_csr_queries_identical_to_dict(self, random_graph):
-        if not HAS_NUMPY:
-            pytest.skip("the CSR backend requires numpy")
         dict_index = BicoreIndex(random_graph, backend="dict")
         csr_index = BicoreIndex(random_graph, backend="csr")
         for alpha, beta in ((1, 1), (2, 2), (2, 3), (3, 2)):

@@ -16,7 +16,6 @@ import shutil
 import pytest
 
 from repro.exceptions import IndexConsistencyError
-from repro.graph.csr import HAS_NUMPY
 from repro.index.maintenance import DynamicDegeneracyIndex
 from repro.index.serialization import save_index
 from repro.serving.compaction import CompactionReport, compact_snapshot
@@ -32,8 +31,6 @@ from tests.test_snapshot_deltas import (
     assert_same_answers,
     churn_graph,
 )
-
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="the snapshot store requires numpy")
 
 
 def saved_chain(tmp_path, seed: int = 21, segments: int = 3, updates: int = 10):

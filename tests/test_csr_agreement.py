@@ -23,8 +23,6 @@ import random
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.api import CommunitySearcher
 from repro.decomposition.abcore import abcore_vertices
 from repro.decomposition.degeneracy import degeneracy

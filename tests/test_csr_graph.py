@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.exceptions import GraphError, InvalidParameterError, VertexNotFoundError
 from repro.graph.bipartite import BipartiteGraph, Side, lower, upper
 from repro.graph.csr import (
@@ -144,9 +142,3 @@ class TestResolveBackend:
     def test_auto_uses_csr_above_threshold(self):
         graph = random_bipartite(120, 120, AUTO_CSR_EDGE_THRESHOLD, seed=0)
         assert resolve_backend("auto", graph) == "csr"
-
-    def test_without_numpy_auto_falls_back_and_csr_raises(self, tiny_graph, monkeypatch):
-        monkeypatch.setattr("repro.graph.csr.HAS_NUMPY", False)
-        assert resolve_backend("auto", tiny_graph) == "dict"
-        with pytest.raises(InvalidParameterError):
-            resolve_backend("csr", tiny_graph)

@@ -22,11 +22,6 @@ EXPECTED_OUTPUT = {
 
 @pytest.mark.parametrize("script", sorted(EXPECTED_OUTPUT))
 def test_example_runs(script, capsys, monkeypatch):
-    if script == "serve_snapshot.py":
-        from repro.graph.csr import HAS_NUMPY
-
-        if not HAS_NUMPY:
-            pytest.skip("the serving example requires numpy")
     path = EXAMPLES_DIR / script
     assert path.exists(), f"missing example {script}"
     monkeypatch.setattr(sys, "argv", [str(path)])

@@ -8,11 +8,8 @@ import socket
 import pytest
 
 from repro.api import CommunitySearcher
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.generators import power_law_bipartite
 from repro.index.degeneracy_index import DegeneracyIndex
-
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="serving requires numpy")
 
 
 @pytest.fixture(scope="module")

@@ -16,11 +16,8 @@ import time
 
 import pytest
 
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.generators import power_law_bipartite
 from repro.index.degeneracy_index import DegeneracyIndex
-
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="serving requires numpy")
 
 READY_LINE = re.compile(
     r"serving frontend on ([\d.]+):(\d+) \((\d+) workers: ([\d, ]+)\)"

@@ -116,8 +116,6 @@ def load_golden() -> Dict[str, object]:
 
 @pytest.mark.parametrize("backend", ["dict", "csr"])
 def test_snapshot_matches_golden(backend):
-    if backend == "csr":
-        pytest.importorskip("numpy")
     golden = load_golden()
     snapshot = json.loads(json.dumps(compute_snapshot(backend)))  # normalise types
     assert snapshot.keys() == golden.keys()

@@ -5,13 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.__main__ import main
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.generators import paper_example_graph
 from repro.graph.io import write_edge_list
-
-requires_numpy = pytest.mark.skipif(
-    not HAS_NUMPY, reason="snapshots and serving require numpy"
-)
 
 
 @pytest.fixture
@@ -114,7 +109,6 @@ class TestSearch:
         assert "not both" in capsys.readouterr().err
 
 
-@requires_numpy
 class TestSnapshotAndServe:
     @pytest.fixture
     def snapshot_dir(self, capsys, tmp_path, edge_file):
@@ -173,7 +167,6 @@ class TestSnapshotAndServe:
         assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="snapshots require numpy")
 class TestUpdateAndStats:
     @pytest.fixture
     def snapshot_dir(self, capsys, tmp_path, edge_file):

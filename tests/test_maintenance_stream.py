@@ -8,8 +8,7 @@ be element-wise identical to a from-scratch :class:`DegeneracyIndex` of the
 same graph.  Because the batch APIs route through the patched
 :class:`LevelArrays`, this exercises the whole maintenance engine: the
 S⁺/S⁻ candidate closures, the frozen-boundary region peels, the in-place
-array patching, and the incremental degeneracy adjustment.  Without numpy
-the same streams run the dict fallback of every code path.
+array patching, and the incremental degeneracy adjustment.
 """
 
 from __future__ import annotations
@@ -20,11 +19,10 @@ import pytest
 
 from repro.api import CommunitySearcher
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.csr import HAS_NUMPY
 from repro.index.degeneracy_index import DegeneracyIndex
 from repro.index.maintenance import DynamicDegeneracyIndex
 
-BACKENDS = ["dict"] + (["csr"] if HAS_NUMPY else [])
+BACKENDS = ["dict", "csr"]
 
 
 def _mixed_stream(rng: random.Random, working: BipartiteGraph, labels: int):
@@ -139,7 +137,6 @@ def test_batch_significant_communities_match_rebuild(seed):
                 assert result.graph.same_structure(expected.graph), (query, alpha, beta)
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="array patching requires numpy")
 def test_maintenance_keeps_the_array_path_hot():
     # A stream over a fixed vertex universe must patch the materialised
     # LevelArrays in place rather than invalidating the query path.

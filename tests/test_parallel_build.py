@@ -12,7 +12,6 @@ import pytest
 
 from repro.api import CommunitySearcher
 from repro.exceptions import InvalidParameterError
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.generators import power_law_bipartite
 from repro.index.degeneracy_index import DegeneracyIndex
 
@@ -54,14 +53,12 @@ class TestValidation:
             DegeneracyIndex(build_graph(), backend="dict", n_jobs=n_jobs)
 
     def test_dict_backend_accepts_n_jobs(self):
-        # The dict backend (and the no-numpy fallback) runs sequentially
-        # regardless; a worker count must be accepted, not crash.
+        # The dict backend runs sequentially regardless; a worker count must be accepted, not crash.
         index = DegeneracyIndex(build_graph(), backend="dict", n_jobs=4)
         baseline = DegeneracyIndex(build_graph(), backend="dict")
         assert_identical_indexes(index, baseline)
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="the CSR backend requires numpy")
 class TestParallelIdentity:
     @pytest.mark.parametrize("n_jobs", [2, 4])
     def test_matches_sequential_csr_build(self, n_jobs):
@@ -130,7 +127,6 @@ class TestParallelIdentity:
 class TestPayloadTwins:
     """The registered kernel/twin pair really returns identical payloads."""
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="payload kernels require numpy")
     def test_parallel_payloads_match_sequential(self):
         import numpy as np
 

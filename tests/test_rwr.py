@@ -8,7 +8,6 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex, upper
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.generators import complete_bipartite, random_bipartite
 from repro.graph.rwr import rwr_edge_weights, rwr_scores
 
@@ -105,7 +104,6 @@ class TestRwrDeterminism:
         second = rwr_edge_weights(shuffled_load(edges, 4), backend="dict")
         assert first == second
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="CSR backend needs numpy")
     def test_csr_backend_stable_and_close_to_dict(self):
         edges = self.tied_hub_edges()
         first = rwr_edge_weights(shuffled_load(edges, 5), backend="csr")
@@ -118,7 +116,6 @@ class TestRwrDeterminism:
         for key in first:
             assert first[key] == pytest.approx(exact[key], abs=1e-6)
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="CSR backend needs numpy")
     def test_scores_agree_across_backends(self):
         graph = random_bipartite(10, 9, 36, seed=9)
         seed_vertex = upper("u0")

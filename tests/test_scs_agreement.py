@@ -1,14 +1,11 @@
 """Agreement suite for the array-native significant search (step 2).
 
-The dict-backed ``scs_*`` algorithms are the oracle.  The pure-python edge
-twins (:mod:`repro.search.edge_scs`) and the vectorised CSR kernels
-(:func:`repro.decomposition.csr_kernels.csr_significant_edges`) must return
-element-wise identical answers — same vertices, same edges — on many seeded
-weighted graphs, for a grid of (α,β), for every algorithm, through every
-entry point (direct kernel calls, batch APIs on both construction backends,
-and the snapshot/serving pipeline).  The module runs fully in the no-numpy CI
-job: the twins are numpy-free, and the kernel / batch-CSR parts skip
-themselves.
+The dict-backed ``scs_*`` algorithms are the oracle.  The vectorised edge
+kernel (:func:`repro.decomposition.csr_kernels.csr_significant_edges`) must
+return element-wise identical answers — same vertices, same edges — on many
+seeded weighted graphs, for a grid of (α,β), for every algorithm, through
+every entry point (direct kernel calls, batch APIs on both construction
+backends, and the snapshot/serving pipeline).
 """
 
 from __future__ import annotations
@@ -16,21 +13,19 @@ from __future__ import annotations
 import pytest
 
 from repro.api import CommunitySearcher
+from repro.decomposition.csr_kernels import csr_significant_edges
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import Side, Vertex
-from repro.graph.csr import HAS_NUMPY
 from repro.index.degeneracy_index import DegeneracyIndex
 from repro.search.baseline import scs_baseline
 from repro.search.binary import scs_binary
-from repro.search.edge_scs import significant_edge_indices
 from repro.search.expand import scs_expand
 from repro.search.peel import scs_peel
 
 from tests.conftest import make_random_weighted_graph
 from tests.reference import assert_same_graph
 
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="CSR kernels need numpy")
-BACKENDS = ["dict", pytest.param("csr", marks=needs_numpy)]
+BACKENDS = ["dict", "csr"]
 
 GRID = [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
 METHODS = ("peel", "expand", "binary")
@@ -63,7 +58,7 @@ def core_queries(index, alpha, beta, per_side=1):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_oracle_and_array_twins_agree(seed):
-    """peel == expand == binary == baseline == edge twins (== kernels)."""
+    """peel == expand == binary == baseline == edge kernel, per method."""
     graph = make_random_weighted_graph(seed)
     index = DegeneracyIndex(graph, backend="dict")
     checked = 0
@@ -80,19 +75,12 @@ def test_oracle_and_array_twins_agree(seed):
             query_id = (upper_ids if query_upper else lower_ids)[query.label]
             oracle_edges = set(graph_edge_triples(oracle))
             for method in METHODS:
-                kept = significant_edge_indices(
+                kept = csr_significant_edges(
                     src, dst, weight, query_upper, query_id, alpha, beta, method=method
-                )
+                ).tolist()
+                assert kept == sorted(kept), (seed, alpha, beta, query, method)
                 got = edge_set_of_indices(kept, src, dst, weight, upper_ids, lower_ids)
                 assert got == oracle_edges, (seed, alpha, beta, query, method)
-                if HAS_NUMPY:
-                    from repro.decomposition.csr_kernels import csr_significant_edges
-
-                    kernel_kept = csr_significant_edges(
-                        src, dst, weight, query_upper, query_id, alpha, beta,
-                        method=method,
-                    )
-                    assert kernel_kept.tolist() == kept, (seed, alpha, beta, query, method)
             checked += 1
     assert checked > 0
 
@@ -171,31 +159,23 @@ class TestUniformWeightExit:
 
     def test_array_twins_match_exit(self):
         src, dst, weight = [0, 0, 1, 1], [0, 1, 0, 1], [3.0, 3.0, 3.0, 3.0]
-        kept = significant_edge_indices(src, dst, weight, True, 1, 2, 2)
-        assert kept == [0, 1, 2, 3]
-        with pytest.raises(InvalidParameterError):
-            significant_edge_indices(src, dst, weight, True, 9, 2, 2)
-        if HAS_NUMPY:
-            from repro.decomposition.csr_kernels import csr_significant_edges
-
-            assert csr_significant_edges(
-                src, dst, weight, True, 1, 2, 2
-            ).tolist() == [0, 1, 2, 3]
+        for method in METHODS:
+            kept = csr_significant_edges(src, dst, weight, True, 1, 2, 2, method=method)
+            assert kept.tolist() == [0, 1, 2, 3], method
             with pytest.raises(InvalidParameterError):
-                csr_significant_edges(src, dst, weight, True, 9, 2, 2)
+                csr_significant_edges(src, dst, weight, True, 9, 2, 2, method=method)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidParameterError):
-            significant_edge_indices([0], [0], [1.0], True, 0, 1, 1, method="magic")
+            csr_significant_edges([0], [0], [1.0], True, 0, 1, 1, method="magic")
 
     def test_expand_epsilon_validated(self):
         with pytest.raises(InvalidParameterError):
-            significant_edge_indices(
+            csr_significant_edges(
                 [0], [0], [1.0], True, 0, 1, 1, method="expand", epsilon=1.0
             )
 
 
-@needs_numpy
 class TestNoMaterialisation:
     """The array-native pipeline must never assemble a dict graph per answer.
 

@@ -14,14 +14,11 @@ from repro.exceptions import (
     InvalidParameterError,
 )
 from repro.graph.bipartite import upper
-from repro.graph.csr import HAS_NUMPY
 from repro.index.bicore_index import BicoreIndex
 from repro.index.degeneracy_index import DegeneracyIndex
 from repro.index.serialization import index_stats_path, load_index, save_index
 
 from tests.reference import assert_same_graph
-
-requires_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="snapshots require numpy")
 
 
 class TestSaveLoad:
@@ -118,7 +115,6 @@ class TestErrorHandling:
             load_index(tmp_path / "absent.pkl")
 
 
-@requires_numpy
 class TestSnapshotFormat:
     @pytest.mark.parametrize("backend", ["dict", "csr"])
     def test_round_trip_both_backends(self, tmp_path, two_block_graph, backend):

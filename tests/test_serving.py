@@ -10,13 +10,10 @@ from repro.exceptions import (
     InvalidParameterError,
     ServingError,
 )
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.generators import power_law_bipartite
 from repro.index.degeneracy_index import DegeneracyIndex
 from repro.serving.server import CommunityServer
 from repro.serving.snapshot import load_snapshot, save_snapshot
-
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="serving requires numpy")
 
 
 @pytest.fixture(scope="module")

@@ -8,12 +8,9 @@ import pytest
 
 from repro.exceptions import EmptyCommunityError, InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph, upper
-from repro.graph.csr import HAS_NUMPY
 from repro.index.degeneracy_index import DegeneracyIndex
 from repro.serving.snapshot import load_label_arrays, load_snapshot, save_snapshot
 from repro.serving.wire import DeferredCommunity
-
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="the snapshot store requires numpy")
 
 
 @pytest.fixture(params=["dict", "csr"])

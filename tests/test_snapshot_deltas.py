@@ -16,7 +16,6 @@ import pytest
 
 from repro.exceptions import IndexConsistencyError, InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.csr import HAS_NUMPY
 from repro.index.degeneracy_index import DegeneracyIndex
 from repro.index.maintenance import DynamicDegeneracyIndex
 from repro.index.serialization import load_index, save_index
@@ -26,8 +25,6 @@ from repro.serving.snapshot import (
     load_snapshot,
     snapshot_version,
 )
-
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="the snapshot store requires numpy")
 
 
 def churn_graph(seed: int, labels: int = 11, edges: int = 55) -> BipartiteGraph:

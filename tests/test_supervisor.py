@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
+import struct
 import threading
 import time
 
 import pytest
 
 from repro.exceptions import ServingError
-from repro.graph.csr import HAS_NUMPY
 from repro.graph.generators import power_law_bipartite
 from repro.index.degeneracy_index import DegeneracyIndex
-
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="serving requires numpy")
 
 
 @pytest.fixture(scope="module")
@@ -71,12 +70,133 @@ def _append_delta(snapshot_dir):
     assert snapshot_version(snapshot_dir) == before + 1
 
 
-def _wait_for_exit(pid: float, timeout: float = 10.0) -> None:
+def _wait_for_exit(pid: int, timeout: float = 10.0) -> None:
+    """Wait until the killed worker ``pid`` has exited and been reaped.
+
+    ``active_children()`` reaps finished children as a side effect; nobody
+    else reaps a SIGKILLed worker between batches, so its zombie would keep
+    ``/proc/<pid>`` around indefinitely.
+    """
     deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if not os.path.exists(f"/proc/{int(pid)}"):
-            return
-        time.sleep(0.05)
+    while any(child.pid == pid for child in multiprocessing.active_children()):
+        assert time.monotonic() < deadline, f"worker {pid} never exited"
+        time.sleep(0.01)
+
+
+class _TearFirstResult:
+    """A worker's result channel that dies halfway through its first result.
+
+    The first worker (fleet-wide, claimed through ``marker``) to send a shard
+    result writes a frame header announcing a megabyte, four bytes of body,
+    and exits on the spot — exactly what a SIGKILL during a large send leaves
+    behind.  Every other message goes through untouched.
+    """
+
+    def __init__(self, channel, marker):
+        self._channel = channel
+        self._marker = marker
+
+    def send(self, message):
+        if message[0] == "result":
+            try:
+                os.close(os.open(self._marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                # multiprocessing frames a message as a 4-byte big-endian
+                # length followed by the pickled body.
+                header = struct.pack("!i", 1 << 20)
+                os.write(self._channel.fileno(), header + b"torn")
+                os._exit(1)
+        self._channel.send(message)
+
+
+def _torn_frame_worker(marker):
+    from repro.serving.worker import worker_main
+
+    def worker(snapshot_dir, tasks, results, cache_entries=0):
+        channel = _TearFirstResult(results, marker)
+        worker_main(snapshot_dir, tasks, channel, cache_entries)
+
+    return worker
+
+
+def _run_bounded(call, timeout: float = 30.0):
+    """Run ``call`` on a daemon thread; fail (instead of hanging) on timeout."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"batch still blocked after {timeout:.0f}s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def _stop_unless_wedged(server) -> None:
+    """Stop ``server`` — unless a wedged batch thread still holds its fleet
+    lock, in which case ``stop()`` would block too; its daemon workers are
+    then left to interpreter exit."""
+    if server.fleet_lock.acquire(timeout=1.0):
+        try:
+            server.stop()
+        finally:
+            server.fleet_lock.release()
+
+
+class TestTornResultFrame:
+    """Regression: a worker dying mid-send must not wedge the driving process."""
+
+    @pytest.fixture()
+    def tearing_fleet(self, monkeypatch, tmp_path):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork so workers inherit the patched worker")
+        import repro.serving.server as server_module
+
+        monkeypatch.setattr(
+            server_module, "worker_main", _torn_frame_worker(tmp_path / "torn")
+        )
+
+    def test_base_server_raises_serving_error(
+        self, tearing_fleet, snapshot_dir, mixed_queries
+    ):
+        from repro.serving.server import CommunityServer
+
+        server = CommunityServer(snapshot_dir, num_workers=2, start_method="fork")
+        try:
+            server.start()
+            with pytest.raises(ServingError, match="died"):
+                _run_bounded(
+                    lambda: server.batch_community(mixed_queries, on_empty="none")
+                )
+            assert not server.is_running
+        finally:
+            _stop_unless_wedged(server)
+
+    def test_supervised_server_respawns_and_answers_match(
+        self, tearing_fleet, snapshot_dir, mixed_queries, expected
+    ):
+        from repro.serving.supervisor import SupervisedCommunityServer
+
+        server = SupervisedCommunityServer(
+            snapshot_dir, num_workers=2, start_method="fork"
+        )
+        try:
+            server.start()
+            answers = _run_bounded(
+                lambda: server.batch_community(mixed_queries, on_empty="none")
+            )
+            assert server.respawns == 1
+            _assert_matches(answers, expected)
+        finally:
+            _stop_unless_wedged(server)
 
 
 class TestSupervisedServer:
