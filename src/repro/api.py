@@ -243,7 +243,6 @@ class CommunitySearcher:
         num_workers: Optional[int] = None,
         snapshot_dir: Optional[str] = None,
         start_method: Optional[str] = None,
-        cache_entries: int = 0,
         supervised: bool = False,
     ) -> "CommunityServer":
         """Snapshot the index and return a multi-process ``CommunityServer``.
@@ -259,8 +258,9 @@ class CommunitySearcher:
 
         With ``snapshot_dir`` the snapshot is written there and left behind
         for future cold starts; otherwise a temporary directory is used and
-        removed when the server stops.  ``cache_entries > 0`` gives every
-        worker a cross-batch answer cache of that capacity;
+        removed when the server stops.  Workers memoise component answers
+        per batch only (the cross-batch answer cache belongs to the network
+        front end, :class:`~repro.serving.frontend.ServingFrontend`).
         ``supervised=True`` returns a
         :class:`~repro.serving.supervisor.SupervisedCommunityServer`, which
         respawns crashed workers instead of failing the batch.
@@ -300,7 +300,6 @@ class CommunitySearcher:
             num_workers=num_workers,
             start_method=start_method,
             cleanup_snapshot=cleanup,
-            cache_entries=cache_entries,
         )
 
     # ------------------------------------------------------------------ #

@@ -393,10 +393,9 @@ class ArrayQueryPath:
         already-retrieved component at the same ``(key, requirement)`` gets
         an O(answer) copy instead of a fresh traversal.  Copies keep results
         independent — a caller mutating one answer cannot corrupt another.
-        Any object speaking the bucket protocol works: a plain dict scoped to
-        one batch call, or a cross-batch
-        :class:`~repro.serving.answer_cache.AnswerCache` whose ``setdefault``
-        hands back LRU-backed bucket views.
+        The cache is a plain dict scoped by its owner (one batch call, or one
+        worker batch); caching across batches is the network front end's
+        :class:`~repro.serving.answer_cache.AnswerCache`, not this memo.
         """
         query_id = self._global_ids[query]
         bucket = None
@@ -435,11 +434,9 @@ class ArrayQueryPath:
         component memoisation stores the array triple itself — the arrays are
         immutable by convention, so repeated hits share the same objects
         (which also lets pickle's memo collapse duplicates when a shard of
-        answers crosses a process boundary).  ``cache`` may be a per-batch
-        dict or a cross-batch
-        :class:`~repro.serving.answer_cache.AnswerCache`: both speak the same
-        ``setdefault`` / ``bucket.get`` / ``bucket[member] = edges`` protocol,
-        so promoting the memoisation across batches needs no BFS changes.
+        answers crosses a process boundary).  ``cache`` is a per-batch dict;
+        the front end's :class:`~repro.serving.answer_cache.AnswerCache`
+        caches the answers across batches.
         """
         query_id = self._global_ids[query]
         bucket = None

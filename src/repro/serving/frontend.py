@@ -49,6 +49,8 @@ import threading
 from pathlib import Path
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.exceptions import (
     InvalidParameterError,
     OverloadedError,
@@ -72,6 +74,8 @@ __all__ = ["ServingFrontend", "FrontendClient"]
 PathLike = Union[str, Path]
 
 _SIGNIFICANT_METHODS = ("auto", "peel", "expand", "binary")
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 class _LabelSpace:
@@ -105,43 +109,81 @@ class _SnapshotMeta:
         self.index_meta = index_meta
 
 
-class _CachedAnswer:
-    """One community answer in servable form: wire triple + summary.
+def _render_edges(
+    src: np.ndarray, dst: np.ndarray, weight: np.ndarray, labels: _LabelSpace
+) -> List[List[Any]]:
+    """The JSON-ready ``[[upper label, lower label, weight], ...]`` edge list."""
+    upper = labels.upper
+    lower = labels.lower
+    return [
+        [upper[u], lower[l], w]
+        for u, l, w in zip(src.tolist(), dst.tolist(), weight.tolist())
+    ]
 
-    The summary (member counts) and the JSON-ready edge list are computed
-    once and reused by every cache hit; the label space is pinned at creation
-    so an answer can never be rendered against a different generation's
-    intern table.
+
+class _CachedAnswer:
+    """One community answer in servable form: compact edge arrays + summary.
+
+    ``src``/``dst`` are stored as int32 when the id space fits and the
+    weights stay float64, so a rendered answer is exact.  The JSON edge list
+    is rendered per request and never retained, so an entry's footprint is
+    its arrays (:attr:`nbytes`, which the cache's bytes gauge reports).  The
+    label space is pinned at creation so an answer can never be rendered
+    against a different generation's intern table.
     """
 
-    __slots__ = ("triple", "members", "num_upper", "num_lower", "num_edges",
-                 "labels", "_edges")
+    __slots__ = (
+        "src", "dst", "weight", "num_upper", "num_lower", "num_edges", "labels"
+    )
 
-    def __init__(self, triple: Tuple, meta: _SnapshotMeta) -> None:
-        src, dst, weight = triple
-        upper_members = sorted(set(src.tolist()))
-        lower_members = sorted(set(dst.tolist()))
-        num_upper_ids = meta.labels.num_upper
-        self.triple = triple
-        self.members = upper_members + [
-            num_upper_ids + lid for lid in lower_members
-        ]
-        self.num_upper = len(upper_members)
-        self.num_lower = len(lower_members)
+    def __init__(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        weight: np.ndarray,
+        num_upper: int,
+        num_lower: int,
+        labels: _LabelSpace,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.weight = weight
+        self.num_upper = num_upper
+        self.num_lower = num_lower
         self.num_edges = int(src.shape[0])
-        self.labels = meta.labels
-        self._edges: Optional[List[List[Any]]] = None
+        self.labels = labels
+
+    @classmethod
+    def from_wire(
+        cls, triple: Tuple, meta: _SnapshotMeta
+    ) -> Tuple["_CachedAnswer", np.ndarray]:
+        """The servable answer plus its sorted member global ids.
+
+        The members (upper ids first, then lower ids offset past the upper
+        id space) are what the cache indexes; the answer does not keep them.
+        """
+        labels = meta.labels
+        src, dst, weight = triple
+        if max(labels.num_upper, len(labels.lower)) <= _INT32_MAX:
+            src = src.astype(np.int32, copy=False)
+            dst = dst.astype(np.int32, copy=False)
+        weight = np.asarray(weight, dtype=np.float64)
+        upper_ids = np.unique(src)
+        lower_ids = np.unique(dst)
+        members = np.concatenate(
+            (upper_ids, lower_ids.astype(np.int64) + labels.num_upper)
+        )
+        answer = cls(
+            src, dst, weight, int(upper_ids.size), int(lower_ids.size), labels
+        )
+        return answer, members
+
+    @property
+    def nbytes(self) -> int:
+        return self.src.nbytes + self.dst.nbytes + self.weight.nbytes
 
     def edges(self) -> List[List[Any]]:
-        if self._edges is None:
-            src, dst, weight = self.triple
-            upper = self.labels.upper
-            lower = self.labels.lower
-            self._edges = [
-                [upper[u], lower[l], float(w)]
-                for u, l, w in zip(src.tolist(), dst.tolist(), weight.tolist())
-            ]
-        return self._edges
+        return _render_edges(self.src, self.dst, self.weight, self.labels)
 
 
 class _Pending:
@@ -184,8 +226,8 @@ class ServingFrontend:
         immediately with :class:`~repro.exceptions.OverloadedError`.
     cache_entries:
         Capacity (in components) of the cross-batch answer cache; ``0``
-        disables caching entirely — the workers then also run per-batch
-        memoisation only.
+        disables it.  This is the only cross-batch cache: the workers keep
+        per-batch memoisation only.
     watch_interval:
         Seconds between watch ticks (worker healing + snapshot polling);
         ``0`` disables the watch task.
@@ -227,7 +269,6 @@ class ServingFrontend:
             num_workers=num_workers,
             start_method=start_method,
             shards_per_worker=shards_per_worker,
-            cache_entries=cache_entries,
             max_respawns_per_batch=max_respawns_per_batch,
         )
         self._cache: Optional[AnswerCache] = (
@@ -506,14 +547,11 @@ class ServingFrontend:
             if answer is None:
                 item.future.set_result(None)
                 continue
-            cached = _CachedAnswer(answer, meta)
+            cached, members = _CachedAnswer.from_wire(answer, meta)
             if self._cache is not None:
                 _, alpha, beta = item.triple
                 self._cache.put(
-                    (alpha, beta),
-                    cached.members,
-                    cached,
-                    generation=meta.generation,
+                    (alpha, beta), members, cached, generation=meta.generation
                 )
             item.future.set_result(cached)
 
@@ -741,17 +779,14 @@ class ServingFrontend:
             "found": True,
             "method": resolved,
             "search_space_edges": int(space),
-            "num_upper": len(set(src.tolist())),
-            "num_lower": len(set(dst.tolist())),
+            "num_upper": int(np.unique(src).size),
+            "num_lower": int(np.unique(dst).size),
             "num_edges": int(src.shape[0]),
         }
         if want_edges:
-            upper = meta.labels.upper
-            lower = meta.labels.lower
-            payload["edges"] = [
-                [upper[u], lower[l], float(w)]
-                for u, l, w in zip(src.tolist(), dst.tolist(), weight.tolist())
-            ]
+            payload["edges"] = _render_edges(
+                src, dst, np.asarray(weight, dtype=np.float64), meta.labels
+            )
         return payload
 
     # ------------------------------------------------------------------ #

@@ -105,12 +105,10 @@ class CommunityServer:
         indefinitely: worker *crashes* are still detected promptly via their
         result pipes and exit codes, so the timeout only matters as a guard
         against a wedged (alive but silent) worker.
-    cache_entries:
-        When > 0, every worker keeps a cross-batch
-        :class:`~repro.serving.answer_cache.AnswerCache` of this capacity
-        (in components) instead of dropping its memoised answers after each
-        batch.  Workers reopen the snapshot on :meth:`reload`, so the cache
-        is implicitly invalidated on every version swap.
+
+    Workers memoise component answers within one batch only; the one
+    cross-batch answer cache lives in the network front end
+    (:class:`~repro.serving.frontend.ServingFrontend`).
 
     Thread safety: batches, :meth:`reload` and :meth:`stop` serialise on one
     re-entrant fleet lock, so a reload requested while a batch is in flight
@@ -125,7 +123,6 @@ class CommunityServer:
         shards_per_worker: int = 4,
         cleanup_snapshot: bool = False,
         batch_timeout: Optional[float] = None,
-        cache_entries: int = 0,
     ) -> None:
         directory = getattr(snapshot, "directory", snapshot)
         self._snapshot_dir = Path(directory)
@@ -137,14 +134,11 @@ class CommunityServer:
             raise ServingError(
                 f"shards_per_worker must be >= 1, got {shards_per_worker}"
             )
-        if cache_entries < 0:
-            raise ServingError(f"cache_entries must be >= 0, got {cache_entries}")
         self._num_workers = num_workers
         self._start_method = start_method
         self._shards_per_worker = shards_per_worker
         self._cleanup_snapshot = cleanup_snapshot
         self._batch_timeout = batch_timeout
-        self._cache_entries = cache_entries
         self._processes: List[multiprocessing.Process] = []
         # One private task queue and result pipe (read end) per worker,
         # aligned with _processes.
@@ -245,12 +239,7 @@ class CommunityServer:
         channel, writer = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=worker_main,
-            args=(
-                str(self._snapshot_dir),
-                tasks,
-                writer,
-                self._cache_entries,
-            ),
+            args=(str(self._snapshot_dir), tasks, writer),
             daemon=True,
             name=f"repro-serve-{self._spawned}",
         )

@@ -782,7 +782,6 @@ class SnapshotIndex(CommunityIndex):
         self._array_path = None
         self._csr = None
         self._global_handles: Optional[List[Vertex]] = None
-        self._answer_cache = None
 
     # ------------------------------------------------------------------ #
     # provenance / lazy materialisation
@@ -882,24 +881,6 @@ class SnapshotIndex(CommunityIndex):
                 )
         return self._csr
 
-    def use_answer_cache(self, cache: Optional[object]) -> Optional[object]:
-        """Attach a cross-batch answer cache (or ``None`` to detach).
-
-        When attached, :meth:`batch_community_edges` and
-        :meth:`batch_significant_edges` default their ``cache`` argument to
-        it instead of a fresh per-call dict, so component answers survive
-        across batches; its counters are merged into :meth:`stats`'s
-        ``extra``.  The cache is expected to speak the per-batch dict
-        protocol — :class:`~repro.serving.answer_cache.AnswerCache` does.
-        Returns the cache for chaining.
-        """
-        self._answer_cache = cache
-        return cache
-
-    @property
-    def answer_cache(self) -> Optional[object]:
-        return self._answer_cache
-
     def query_path(self) -> "ArrayQueryPath":
         """The array query engine over the mapped segments (built once)."""
         if self._array_path is None:
@@ -963,13 +944,8 @@ class SnapshotIndex(CommunityIndex):
         queries: Iterable[Tuple[Vertex, int, int]],
         on_empty: str = "raise",
     ) -> List[Optional[BipartiteGraph]]:
-        """Batched ``Qopt`` with per-batch component memoisation.
-
-        With an attached :meth:`use_answer_cache` cache the memoisation is
-        cross-batch: repeat queries for a component hit answers admitted by
-        earlier batches (and by the edge-returning batch APIs).
-        """
-        cache: Dict = self._answer_cache if self._answer_cache is not None else {}
+        """Batched ``Qopt`` with per-batch component memoisation."""
+        cache: Dict = {}
         return apply_batch_policy(
             queries,
             lambda query, alpha, beta: self._answer(query, alpha, beta, cache=cache),
@@ -1002,7 +978,7 @@ class SnapshotIndex(CommunityIndex):
         exactly what :meth:`batch_community` returns.
         """
         if cache is None:
-            cache = self._answer_cache if self._answer_cache is not None else {}
+            cache = {}
         return apply_batch_policy(
             queries,
             lambda query, alpha, beta: self._answer_edges(
@@ -1038,7 +1014,7 @@ class SnapshotIndex(CommunityIndex):
                 "('peel', 'expand', 'binary', 'auto')"
             )
         if cache is None:
-            cache = self._answer_cache if self._answer_cache is not None else {}
+            cache = {}
 
         def answer_one(
             query: Vertex, alpha: int, beta: int
@@ -1079,19 +1055,13 @@ class SnapshotIndex(CommunityIndex):
 
     # ------------------------------------------------------------------ #
     def stats(self) -> IndexStats:
-        """The statistics recorded at save time (no structures are walked).
-
-        With an attached :meth:`use_answer_cache`, its live hit/miss/eviction
-        counters ride along in ``extra``.
-        """
+        """The statistics recorded at save time (no structures are walked)."""
         meta = self._manifest.get("index", {})
         stored = dict(meta.get("stats", {}))
         entries = int(stored.pop("entries", 0))
         adjacency_lists = int(stored.pop("adjacency_lists", 0))
         build_seconds = float(stored.pop("build_seconds", 0.0))
         extra = {key: float(value) for key, value in stored.items()}
-        if self._answer_cache is not None:
-            extra.update(self._answer_cache.stats())
         return IndexStats(
             name=str(meta.get("name", "snapshot")),
             entries=entries,

@@ -71,7 +71,6 @@ class SupervisedCommunityServer(CommunityServer):
         shards_per_worker: int = 4,
         cleanup_snapshot: bool = False,
         batch_timeout: Optional[float] = None,
-        cache_entries: int = 0,
         max_respawns_per_batch: int = 3,
     ) -> None:
         super().__init__(
@@ -81,7 +80,6 @@ class SupervisedCommunityServer(CommunityServer):
             shards_per_worker=shards_per_worker,
             cleanup_snapshot=cleanup_snapshot,
             batch_timeout=batch_timeout,
-            cache_entries=cache_entries,
         )
         if max_respawns_per_batch < 0:
             raise ServingError(

@@ -38,9 +38,7 @@ def describe_error(exc: BaseException) -> Tuple[str, str, str]:
     return (type(exc).__module__, type(exc).__name__, str(exc))
 
 
-def worker_main(
-    snapshot_dir: str, tasks: "Queue", results: "Connection", cache_entries: int = 0
-) -> None:
+def worker_main(snapshot_dir: str, tasks: "Queue", results: "Connection") -> None:
     """Serve shards from ``tasks`` until the ``None`` sentinel arrives.
 
     Protocol (all messages tuples, first element a tag):
@@ -52,43 +50,31 @@ def worker_main(
       ``("result", batch_id, shard_id, answers)`` or
       ``("error", batch_id, shard_id, error_description)``.
 
-    ``cache_entries > 0`` replaces the per-batch memoisation dict with a
-    cross-batch :class:`~repro.serving.answer_cache.AnswerCache` of that
-    capacity: hot components survive between batches, and because the worker
-    itself is restarted on every ``reload()`` the cache can never serve a
-    stale snapshot version.
+    Component answers are memoised per batch only; caching across batches
+    is the network front end's :class:`~repro.serving.answer_cache.AnswerCache`.
     """
     from repro.api import CommunitySearcher
-    from repro.serving.answer_cache import AnswerCache
     from repro.serving.snapshot import load_snapshot
 
     pid = os.getpid()
     try:
         index = load_snapshot(snapshot_dir)
         searcher = CommunitySearcher(index=index)
-        answer_cache = None
-        if cache_entries > 0:
-            answer_cache = AnswerCache(
-                cache_entries,
-                generation=(index.snapshot_id, index.version),
-            )
-            index.use_answer_cache(answer_cache)
     except BaseException as exc:  # noqa: BLE001 - report, then die quietly
         results.send(("fatal", pid, describe_error(exc)))
         return
     results.send(("ready", pid))
-    # One component cache per batch (unless a cross-batch AnswerCache is
-    # configured): the driver runs batches serially, so a new batch_id means
-    # the previous batch's shards are all done and its memoised components
-    # can be dropped.
+    # One component cache per batch: the driver runs batches serially, so a
+    # new batch_id means the previous batch's shards are all done and its
+    # memoised components can be dropped.
     cache_batch_id = None
-    cache = answer_cache if answer_cache is not None else {}
+    cache: dict = {}
     while True:
         task = tasks.get()
         if task is None:
             break
         batch_id, shard_id, kind, triples, options = task
-        if answer_cache is None and batch_id != cache_batch_id:
+        if batch_id != cache_batch_id:
             cache_batch_id = batch_id
             cache = {}
         try:

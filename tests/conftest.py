@@ -15,6 +15,28 @@ from repro.graph.generators import (
 )
 from repro.graph.weights import apply_weights
 
+#: Longest a single test's setup or call phase may run before the test
+#: fails.  The slowest phase in the suite takes a few seconds; the budget
+#: keeps sleeps and oversized inputs from creeping into the tier-1 run.
+PHASE_BUDGET_SECONDS = 20.0
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    """Fail a passing setup or call phase that overran the time budget."""
+    outcome = yield
+    report = outcome.get_result()
+    if (
+        report.when in ("setup", "call")
+        and report.passed
+        and call.duration > PHASE_BUDGET_SECONDS
+    ):
+        report.outcome = "failed"
+        report.longrepr = (
+            f"{report.when} phase took {call.duration:.1f} s, over the "
+            f"{PHASE_BUDGET_SECONDS:g} s per-phase test budget"
+        )
+
 
 @pytest.fixture
 def tiny_graph() -> BipartiteGraph:

@@ -69,6 +69,7 @@ class TestHealthAndStats:
         for key in (
             "answer_cache_hits",
             "answer_cache_misses",
+            "answer_cache_bytes",
             "frontend_requests_community",
             "frontend_batches",
             "frontend_overload_rejections",
@@ -96,6 +97,21 @@ class TestCommunity:
         second = client.community(core_vertex.label, 2, 2, edges=True)
         assert second["cached"] is True
         assert second["edges"] == first["edges"]
+
+    def test_edges_hits_keep_no_rendered_list(self, frontend, client, core_vertex):
+        """Regression: an edges=true hit memoised the rendered edge list on
+        the cache entry, several times the size of its arrays."""
+        side = "upper" if core_vertex.side.name == "UPPER" else "lower"
+        replies = [
+            client.community(core_vertex.label, 2, 2, side=side, edges=True)
+            for _ in range(3)
+        ]
+        assert replies[1]["cached"] and replies[2]["cached"]
+        assert replies[0]["edges"] == replies[1]["edges"] == replies[2]["edges"]
+        gid = frontend._meta.labels.gids[(side, core_vertex.label)]
+        entry = frontend.cache.get((2, 2), gid)
+        held = [getattr(entry, name, None) for name in type(entry).__slots__]
+        assert not any(isinstance(value, list) for value in held)
 
     def test_vertex_outside_core_reports_not_found(
         self, client, frontend_graph, frontend_index

@@ -114,9 +114,9 @@ class _TearFirstResult:
 def _torn_frame_worker(marker):
     from repro.serving.worker import worker_main
 
-    def worker(snapshot_dir, tasks, results, cache_entries=0):
+    def worker(snapshot_dir, tasks, results):
         channel = _TearFirstResult(results, marker)
-        worker_main(snapshot_dir, tasks, channel, cache_entries)
+        worker_main(snapshot_dir, tasks, channel)
 
     return worker
 
@@ -327,6 +327,58 @@ class TestReloadUnderTraffic:
         while frontend.reloads < 1:
             assert time.monotonic() < deadline, "front end never detected the swap"
             time.sleep(0.05)
+
+    def _reply_edges(self, snapshot_dir, queries):
+        """The exact ``edges`` lists the ``load_snapshot`` answers render to."""
+        from repro.serving.snapshot import load_snapshot
+
+        index = load_snapshot(snapshot_dir)
+        upper, lower = (labels.tolist() for labels in index.query_path().label_arrays())
+        triples = index.batch_community_edges(queries, on_empty="none", cache={})
+        return [
+            None
+            if triple is None
+            else [
+                [upper[u], lower[l], w]
+                for u, l, w in zip(*(part.tolist() for part in triple))
+            ]
+            for triple in triples
+        ]
+
+    def test_miss_then_hit_match_snapshot_answers_across_reload(
+        self, snapshot_dir, supervisor_index
+    ):
+        """Each query asked twice with edges: the miss and the cache hit both
+        render exactly the in-process answer, before and after a reload."""
+        from repro.serving.frontend import FrontendClient, ServingFrontend
+
+        queries = [(q, 2, 2) for q in supervisor_index.vertices_in_core(2, 2)[:6]]
+        queries += [(q, 3, 3) for q in supervisor_index.vertices_in_core(3, 3)[:3]]
+        with ServingFrontend(
+            snapshot_dir, num_workers=2, cache_entries=128, watch_interval=0.05
+        ) as frontend:
+            with FrontendClient(frontend.host, frontend.port, timeout=60.0) as client:
+                for generation in range(2):
+                    if generation:
+                        _append_delta(snapshot_dir)
+                        self._wait_for_reload(frontend)
+                    expected = self._reply_edges(snapshot_dir, queries)
+                    misses = 0
+                    for (vertex, alpha, beta), want in zip(queries, expected):
+                        side = "upper" if vertex.side.name == "UPPER" else "lower"
+                        first, second = (
+                            client.community(
+                                vertex.label, alpha, beta, side=side, edges=True
+                            )
+                            for _ in range(2)
+                        )
+                        misses += first["cached"] is False
+                        assert second["cached"] is True
+                        for reply in (first, second):
+                            assert reply["ok"] and reply["found"]
+                            assert reply["edges"] == want
+                    assert misses >= 2, "every component's first ask is a miss"
+            assert frontend.reloads == 1
 
     def test_streams_identical_across_autodetected_compaction(
         self, snapshot_dir, supervisor_index
