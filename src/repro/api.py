@@ -51,6 +51,7 @@ from repro.search.binary import scs_binary
 from repro.search.expand import scs_expand
 from repro.search.peel import scs_peel
 from repro.search.result import SearchResult
+from repro.utils.validation import check_epsilon
 
 __all__ = ["CommunitySearcher"]
 
@@ -135,6 +136,7 @@ class CommunitySearcher:
             raise InvalidParameterError(
                 f"unknown method {method!r}; expected one of {_COMMUNITY_METHODS}"
             )
+        check_epsilon(epsilon)
         if method == "baseline":
             return self._baseline_result(query, alpha, beta, epsilon)
         index = self._index
@@ -192,6 +194,7 @@ class CommunitySearcher:
             raise InvalidParameterError(
                 f"unknown method {method!r}; expected one of {_COMMUNITY_METHODS}"
             )
+        check_epsilon(epsilon)
         check_on_empty(on_empty)
         queries = list(queries)
         if method == "baseline":

@@ -15,6 +15,16 @@ frozen graph; translating back to :class:`~repro.graph.bipartite.Vertex`
 handles is the caller's job (see the ``backend=`` dispatchers).  Every kernel
 is semantically identical to its dict twin — the cross-backend agreement suite
 (``tests/test_csr_agreement.py``) asserts exact equality on randomized inputs.
+
+The last section holds step 2 of a query, significant search
+(:func:`csr_significant_edges`), over the edge arrays of one retrieved
+community.  Binary search and expansion share one kernel with no per-edge
+Python loop: it validates weight-ordered prefixes with whole-array core
+passes instead of growing Algorithm 5's union-find edge by edge (see
+:func:`_expand_over_edges` for how that differs from the paper and why the
+answers do not); binary search is its ε = ∞ schedule.
+``tests/test_scs_agreement.py`` asserts peel, expand and binary against the
+dict ``scs_*`` oracles.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import Side
 from repro.graph.csr import CSRBipartiteGraph
-from repro.utils.validation import check_thresholds
+from repro.utils.validation import check_epsilon, check_thresholds
 
 __all__ = [
     "SCS_EDGE_METHODS",
@@ -477,44 +487,6 @@ def _peel_mask(
     return live
 
 
-def _binary_over_edges(
-    us: np.ndarray,
-    ls: np.ndarray,
-    weight: np.ndarray,
-    num_u: int,
-    num_l: int,
-    query_upper: bool,
-    query: int,
-    alpha: int,
-    beta: int,
-) -> np.ndarray:
-    """Binary search over the distinct weights; array twin of ``scs_binary``.
-
-    Returns the query's component of the core at the largest weight threshold
-    that keeps the query alive; raises if none does.
-    """
-    distinct = np.unique(weight)
-    low, high = 0, int(distinct.shape[0]) - 1
-    best = None
-    while low <= high:
-        mid = (low + high) // 2
-        alive, du, dl = _edge_core(
-            us, ls, num_u, num_l, weight >= distinct[mid], alpha, beta
-        )
-        survives = (int(du[query]) if query_upper else int(dl[query])) > 0
-        if survives:
-            best = alive
-            low = mid + 1
-        else:
-            high = mid - 1
-    if best is None:
-        raise InvalidParameterError(
-            f"the supplied edges are not a valid ({alpha},{beta})-community "
-            "of the query vertex"
-        )
-    return _edge_component(us, ls, best, query_upper, query, num_u, num_l)
-
-
 def _expand_over_edges(
     us: np.ndarray,
     ls: np.ndarray,
@@ -527,116 +499,65 @@ def _expand_over_edges(
     beta: int,
     epsilon: float,
 ) -> np.ndarray:
-    """Heaviest-first expansion; array twin of ``expand_over_pool``.
+    """Heaviest-first expansion over weight-ordered prefixes (Algorithm 5).
 
-    The union-find itself runs as a python loop over the interned ids (its
-    per-edge work is O(α(n)) and resists vectorisation), but each validation —
-    the expensive part the geometric rule amortises — is the vectorised core
-    fixpoint plus masked peel above.  The first component passing
-    validation is the answer.
+    The edges are sorted by descending weight once, so every threshold graph
+    ``G≥w`` is a prefix of that order ending at a weight-run boundary.  The
+    run boundaries are the candidate checkpoints; Algorithm 5's query-degree
+    rule (a cumulative count of the query's edges) drops the ones where the
+    query cannot yet meet its threshold.  A checkpoint is validated — the
+    vectorised core fixpoint over the prefix slices — only once the prefix
+    has grown by a factor ``epsilon`` since the last validation, and the
+    full prefix is always validated last.  The first checkpoint whose core
+    keeps the query ends the growth; bisecting back to the last failed one
+    finds the smallest such prefix, ``G≥w*``.  That is O(log_ε E + log E)
+    core passes and no per-edge Python work.
+
+    Unlike the dict twin there is no union-find: validation works on the
+    whole prefix instead of the query's component, Lemma 7 and the
+    saturation rule (which need per-component counters, and only ever skip
+    validations) are dropped, and the bisection stands in for peeling the
+    validated component.  The answer cannot change: ``R`` is the query's
+    component of the (α,β)-core of ``G≥w*``, where ``w*`` is the largest
+    weight at which the query survives, and survival is monotone in the
+    prefix — exactly what peeling a validated component also returns.
     """
     order = np.argsort(-weight, kind="stable")
-    descending = weight[order]
-    order_list = order.tolist()
-    us_list, ls_list = us.tolist(), ls.tolist()
+    us, ls, weight = us[order], ls[order], weight[order]
     total = int(order.shape[0])
-    n = num_u + num_l
-    query_vertex = query if query_upper else num_u + query
-    query_threshold = alpha if query_upper else beta
+    run_ends = np.append(np.flatnonzero(weight[1:] != weight[:-1]) + 1, total)
+    query_degree = np.cumsum((us if query_upper else ls) == query)[run_ends - 1]
+    checkpoints = run_ends[query_degree >= (alpha if query_upper else beta)]
 
-    parent = list(range(n))
-    size = [1] * n
-    degree = [0] * n
-    comp_edges = [0] * n
-    comp_upper = [1 if v < num_u else 0 for v in range(n)]
-    comp_lower = [0 if v < num_u else 1 for v in range(n)]
-    comp_usat = [0] * n
-    comp_lsat = [0] * n
+    def core_keeping_query(i: int) -> Optional[np.ndarray]:
+        """The core mask of checkpoint ``i``'s prefix, or None if q is peeled."""
+        prefix = int(checkpoints[i])
+        core, du, dl = _edge_core(
+            us[:prefix], ls[:prefix], num_u, num_l, np.ones(prefix, dtype=bool), alpha, beta
+        )
+        return core if (du[query] if query_upper else dl[query]) > 0 else None
 
-    def find(v: int) -> int:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def add_edge(e: int) -> None:
-        a, b = us_list[e], num_u + ls_list[e]
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            comp_edges[ra] += 1
-        else:
-            if size[ra] < size[rb]:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            size[ra] += size[rb]
-            comp_edges[ra] += comp_edges[rb] + 1
-            comp_upper[ra] += comp_upper[rb]
-            comp_lower[ra] += comp_lower[rb]
-            comp_usat[ra] += comp_usat[rb]
-            comp_lsat[ra] += comp_lsat[rb]
-        for v in (a, b):
-            degree[v] += 1
-            threshold = alpha if v < num_u else beta
-            if degree[v] == threshold:
-                root = find(v)
-                if v < num_u:
-                    comp_usat[root] += 1
+    last = int(checkpoints.shape[0]) - 1
+    failed, i = -1, 0
+    while i <= last:
+        core = core_keeping_query(i)
+        if core is not None:
+            while i - failed > 1:
+                mid = (failed + i) // 2
+                found = core_keeping_query(mid)
+                if found is None:
+                    failed = mid
                 else:
-                    comp_lsat[root] += 1
-
-    def validate(inserted: int) -> Optional[np.ndarray]:
-        root = find(query_vertex)
-        candidate = np.zeros(total, dtype=bool)
-        members = [e for e in order_list[:inserted] if find(us_list[e]) == root]
-        candidate[members] = True
-        core, du, dl = _edge_core(us, ls, num_u, num_l, candidate, alpha, beta)
-        if (int(du[query]) if query_upper else int(dl[query])) == 0:
-            return None
-        component = _edge_component(us, ls, core, query_upper, query, num_u, num_l)
-        mask = np.zeros(total, dtype=bool)
-        mask[component] = True
-        return _peel_mask(
-            us, ls, weight, num_u, num_l, mask, query_upper, query, alpha, beta
-        )
-
-    previous_checked_size = 0
-    pos = 0
-    while pos < total:
-        batch_weight = descending[pos]
-        before = comp_edges[find(query_vertex)] if degree[query_vertex] else -1
-        run_end = pos + int(
-            np.searchsorted(-descending[pos:], -batch_weight, side="right")
-        )
-        while pos < run_end:
-            add_edge(order_list[pos])
-            pos += 1
-        if not degree[query_vertex]:
-            continue
-        root = find(query_vertex)
-        component_edges = comp_edges[root]
-        if component_edges == before:
-            continue  # C* unchanged in this round.
-        # Lemma 7 / saturation / query-degree pruning, as in the dict twin.
-        if alpha * beta - alpha - beta > (
-            component_edges - comp_upper[root] - comp_lower[root]
-        ):
-            continue
-        if comp_usat[root] < beta or comp_lsat[root] < alpha:
-            continue
-        if degree[query_vertex] < query_threshold:
-            continue
-        if previous_checked_size and component_edges < previous_checked_size * epsilon:
-            continue
-        previous_checked_size = component_edges
-        answer = validate(pos)
-        if answer is not None:
-            return answer
-    if degree[query_vertex]:
-        answer = validate(total)
-        if answer is not None:
-            return answer
+                    i, core = mid, found
+            prefix = int(checkpoints[i])
+            kept = _edge_component(
+                us[:prefix], ls[:prefix], core, query_upper, query, num_u, num_l
+            )
+            return np.sort(order[kept])
+        if i == last:
+            break
+        failed = i
+        i = min(int(np.searchsorted(checkpoints, checkpoints[i] * epsilon)), last)
     raise InvalidParameterError(
         f"the supplied edges contain no ({alpha},{beta})-community "
         "of the query vertex"
@@ -662,14 +583,22 @@ def csr_significant_edges(
     wire), ``query_id`` names the query vertex in the space selected by
     ``query_in_upper``.  Returns the ascending ``np.int64`` positions whose
     edges form the significant community.
+
+    ``epsilon`` is validated for every method (it must be > 1; NaN is
+    refused).  ``"expand"`` is the array form of Algorithm 5: it validates
+    weight-ordered prefixes at ε-geometric checkpoints and bisects back to
+    the first one that keeps the query, instead of running a union-find and
+    peeling; the Lemma 7 and saturation pruning rules, which only skip
+    validations, are dropped — so it returns the same answer as the oracle.
+    ``"binary"`` runs the same kernel with ε = ∞: the first checkpoint, the
+    full prefix, then bisection, instead of bisecting the distinct weights.
     """
     check_thresholds(alpha, beta)
     if method not in SCS_EDGE_METHODS:
         raise InvalidParameterError(
             f"unknown edge-search method {method!r}; expected one of {SCS_EDGE_METHODS}"
         )
-    if method == "expand" and epsilon <= 1.0:
-        raise InvalidParameterError("epsilon must be larger than 1")
+    check_epsilon(epsilon)
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     weight = np.asarray(weight, dtype=np.float64)
@@ -693,10 +622,9 @@ def csr_significant_edges(
             us, ls, weight, num_u, num_l, np.ones(src.shape[0], dtype=bool),
             query_in_upper, query, alpha, beta,
         )
-    if method == "binary":
-        return _binary_over_edges(
-            us, ls, weight, num_u, num_l, query_in_upper, query, alpha, beta
-        )
+    # Binary search is the same threshold search with an unbounded growth
+    # factor: the first checkpoint, then the full prefix, then bisection.
     return _expand_over_edges(
-        us, ls, weight, num_u, num_l, query_in_upper, query, alpha, beta, epsilon
+        us, ls, weight, num_u, num_l, query_in_upper, query, alpha, beta,
+        epsilon if method == "expand" else np.inf,
     )

@@ -44,7 +44,7 @@ from repro.index.traversal import (
     bfs_over_lists,
 )
 from repro.utils.timer import Timer
-from repro.utils.validation import check_query_vertex, check_thresholds
+from repro.utils.validation import check_epsilon, check_query_vertex, check_thresholds
 
 __all__ = ["DegeneracyIndex"]
 
@@ -334,6 +334,7 @@ class DegeneracyIndex(CommunityIndex):
                 f"unknown method {method!r}; expected one of "
                 "('peel', 'expand', 'binary', 'auto')"
             )
+        check_epsilon(epsilon)
         path = self.query_path()
         if cache is None:
             cache = {}

@@ -15,8 +15,16 @@ extract the significant (α,β)-community ``R``:
 The dict-backed functions above are the *oracles*: peel, expand and binary
 also have an array-native twin operating directly on the parallel edge arrays
 a frozen index retrieves, without materialising a graph object —
-:func:`repro.decomposition.csr_kernels.csr_significant_edges`.  The agreement
-suite asserts both produce element-wise identical answers;
+:func:`repro.decomposition.csr_kernels.csr_significant_edges`.  The array
+expand differs from Algorithm 5 in mechanism only: it sorts the edges by
+descending weight once, validates weight-ordered prefixes (threshold graphs
+``G≥w``) at ε-geometric checkpoints and bisects back to the smallest prefix
+whose core keeps the query — no union-find, no peel, and no Lemma 7 or
+saturation pruning, which only skip validations.  The answer is the query's
+component of the (α,β)-core of ``G≥w*`` for the largest surviving weight
+``w*`` either way.  The array binary search is the same kernel with
+ε = ∞.  The agreement suite asserts both produce element-wise identical
+answers;
 :meth:`repro.api.CommunitySearcher.significant_community` and the batch /
 serving entry points route through the array twin whenever an array query
 path is available.

@@ -22,7 +22,10 @@ back so clients may pipeline:
   adds the full ``[[upper label, lower label, weight], ...]`` edge list.
 * ``{"op": "significant", ..., "method": "auto", "epsilon": 2.0}`` — the
   two-step significant community (``method`` one of auto/peel/expand/binary;
-  the index-free ``baseline`` is not served over the wire).
+  the index-free ``baseline`` is not served over the wire; ``epsilon`` must
+  be a number larger than 1 whatever the method).  The summary adds the
+  resolved ``method``, ``search_space_edges`` and ``min_weight``, the
+  answer's significance (its minimum edge weight).
 * ``{"op": "stats"}`` — index stats plus live cache/front-end counters.
 * ``{"op": "health"}`` — liveness, snapshot generation, worker count.
 
@@ -65,7 +68,7 @@ from repro.serving.snapshot import (
     load_label_arrays,
 )
 from repro.serving.supervisor import SnapshotWatcher, SupervisedCommunityServer
-from repro.utils.validation import check_thresholds
+from repro.utils.validation import check_epsilon, check_thresholds
 
 _logger = logging.getLogger(__name__)
 
@@ -766,6 +769,9 @@ class ServingFrontend:
             raise InvalidParameterError(
                 f"epsilon must be a number, got {request.get('epsilon')!r}"
             )
+        # Refused here, before dispatch, so a bad epsilon never fails its
+        # batch group inside the fleet and forces the one-at-a-time retry.
+        check_epsilon(epsilon)
         self._requests_significant += 1
         answer = await self._submit(
             "significant", (vertex, alpha, beta), (method, epsilon)
@@ -782,6 +788,7 @@ class ServingFrontend:
             "num_upper": int(np.unique(src).size),
             "num_lower": int(np.unique(dst).size),
             "num_edges": int(src.shape[0]),
+            "min_weight": float(weight.min()),
         }
         if want_edges:
             payload["edges"] = _render_edges(

@@ -64,7 +64,11 @@ from repro.exceptions import (
 )
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex
 from repro.index.base import CommunityIndex, IndexStats, apply_batch_policy
-from repro.utils.validation import check_query_membership, check_thresholds
+from repro.utils.validation import (
+    check_epsilon,
+    check_query_membership,
+    check_thresholds,
+)
 
 if TYPE_CHECKING:
     from repro.graph.csr import CSRBipartiteGraph
@@ -1013,6 +1017,7 @@ class SnapshotIndex(CommunityIndex):
                 f"unknown method {method!r}; expected one of "
                 "('peel', 'expand', 'binary', 'auto')"
             )
+        check_epsilon(epsilon)
         if cache is None:
             cache = {}
 

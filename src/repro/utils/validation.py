@@ -10,6 +10,7 @@ from repro.graph.bipartite import BipartiteGraph, Side, Vertex
 __all__ = [
     "check_positive_int",
     "check_thresholds",
+    "check_epsilon",
     "check_query_vertex",
     "check_query_membership",
     "satisfies_degree_constraints",
@@ -28,6 +29,17 @@ def check_thresholds(alpha: int, beta: int) -> None:
     """Validate the (alpha, beta) degree thresholds of a query."""
     check_positive_int(alpha, "alpha")
     check_positive_int(beta, "beta")
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Validate the expansion growth factor ε of a significant query.
+
+    Checked for every method, before ``"auto"`` resolves, so whether a
+    request is accepted never depends on which algorithm ends up running.
+    Written as ``not epsilon > 1`` so NaN is rejected too.
+    """
+    if not epsilon > 1.0:
+        raise InvalidParameterError(f"epsilon must be larger than 1, got {epsilon!r}")
 
 
 def check_query_membership(contains: Callable[[Vertex], bool], query: Vertex) -> Vertex:

@@ -237,3 +237,78 @@ class TestAdmissionControl:
                 assert (
                     stats["stats"]["extra"]["frontend_overload_rejections"] >= 1.0
                 )
+
+
+@pytest.fixture(scope="module")
+def weighted_frontend(tmp_path_factory):
+    """A 1-worker front end over a graph with distinct edge weights, so the
+    significant answer is a proper subgraph with a meaningful significance."""
+    import random
+
+    from repro.serving.frontend import ServingFrontend
+    from repro.serving.snapshot import save_snapshot
+
+    graph = power_law_bipartite(80, 70, 600, seed=13, name="frontend-weighted")
+    rng = random.Random(13)
+    for u, v, _ in list(graph.edges()):
+        graph.add_edge(u, v, float(rng.randint(1, 12)))
+    index = DegeneracyIndex(graph, backend="csr")
+    directory = save_snapshot(index, tmp_path_factory.mktemp("weighted") / "snap")
+    with ServingFrontend(directory, num_workers=1, batch_window=0.002) as running:
+        yield index, running
+
+
+class TestSignificantReplyFields:
+    def routes(self, index):
+        """One (α,β) whose ``auto`` resolves to expand, one to peel."""
+        from repro.search import resolve_scs_method
+
+        pairs = {resolve_scs_method("auto", t, t, index.delta): (t, t) for t in (2, 4)}
+        assert set(pairs) == {"expand", "peel"}
+        return list(pairs.values())
+
+    def test_min_weight_is_the_answers_significance(self, weighted_frontend):
+        from repro.serving.frontend import FrontendClient
+
+        index, frontend = weighted_frontend
+        searcher = CommunitySearcher(index=index)
+        seen = set()
+        with FrontendClient(frontend.host, frontend.port, timeout=60.0) as client:
+            for alpha, beta in self.routes(index):
+                for vertex in index.vertices_in_core(alpha, beta)[:3]:
+                    side = "upper" if vertex.side.name == "UPPER" else "lower"
+                    summary = client.significant(vertex.label, alpha, beta, side=side)
+                    full = client.significant(
+                        vertex.label, alpha, beta, side=side, edges=True
+                    )
+                    expected = searcher.significant_community(vertex, alpha, beta)
+                    want = min(w for _, _, w in expected.graph.edges())
+                    assert summary["min_weight"] == full["min_weight"] == want
+                    assert full["min_weight"] == min(w for _, _, w in full["edges"])
+                    seen.add(want)
+        assert len(seen) > 1  # not trivially the graph's lightest weight
+
+    def test_bad_epsilon_refused_before_dispatch_on_every_route(
+        self, weighted_frontend
+    ):
+        """A bad ε used to be rejected only where ``auto`` resolved to expand
+        (and NaN nowhere); now it is refused up front, without a batch."""
+        from repro.serving.frontend import FrontendClient
+
+        index, frontend = weighted_frontend
+        with FrontendClient(frontend.host, frontend.port, timeout=60.0) as client:
+            before = client.stats()["stats"]["extra"]["frontend_batches"]
+            for alpha, beta in self.routes(index):
+                vertex = index.vertices_in_core(alpha, beta)[0]
+                side = "upper" if vertex.side.name == "UPPER" else "lower"
+                for epsilon in (0.5, 1.0, float("nan")):
+                    reply = client.significant(
+                        vertex.label, alpha, beta, side=side, epsilon=epsilon
+                    )
+                    assert not reply["ok"], (alpha, beta, epsilon)
+                    assert reply["error"]["type"] == "InvalidParameterError"
+                    assert "epsilon" in reply["error"]["message"]
+                good = client.significant(vertex.label, alpha, beta, side=side)
+                assert good["ok"] and good["found"]
+            after = client.stats()["stats"]["extra"]["frontend_batches"]
+        assert after - before == len(self.routes(index))  # only the good ones

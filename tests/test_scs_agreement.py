@@ -10,12 +10,14 @@ backends, and the snapshot/serving pipeline).
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.api import CommunitySearcher
 from repro.decomposition.csr_kernels import csr_significant_edges
 from repro.exceptions import InvalidParameterError
-from repro.graph.bipartite import Side, Vertex
+from repro.graph.bipartite import BipartiteGraph, Side, Vertex
 from repro.index.degeneracy_index import DegeneracyIndex
 from repro.search.baseline import scs_baseline
 from repro.search.binary import scs_binary
@@ -170,10 +172,211 @@ class TestUniformWeightExit:
             csr_significant_edges([0], [0], [1.0], True, 0, 1, 1, method="magic")
 
     def test_expand_epsilon_validated(self):
-        with pytest.raises(InvalidParameterError):
-            csr_significant_edges(
-                [0], [0], [1.0], True, 0, 1, 1, method="expand", epsilon=1.0
-            )
+        """ε is checked for every method, NaN included, not only for expand."""
+        for method in METHODS:
+            for epsilon in (1.0, 0.5, float("nan")):
+                with pytest.raises(InvalidParameterError):
+                    csr_significant_edges(
+                        [0], [0], [1.0], True, 0, 1, 1, method=method, epsilon=epsilon
+                    )
+
+
+def _biclique(graph, uppers, lowers, weight_of):
+    for i, u in enumerate(uppers):
+        for j, v in enumerate(lowers):
+            graph.add_edge(u, v, float(weight_of(i, j)))
+
+
+def _heavy_block_far_from_query():
+    """q's 4x4 block reaches a heavy 6x6 block only through a light chain, so
+    the heaviest prefixes grow while q's component stays put."""
+    graph = BipartiteGraph(name="heavy-far")
+    _biclique(graph, ["q0", "q1", "q2", "q3"], ["r0", "r1", "r2", "r3"], lambda i, j: 8 - (i + j))
+    _biclique(graph, [f"h{i}" for i in range(6)], [f"k{j}" for j in range(6)], lambda i, j: 9)
+    previous = "r3"
+    for block in range(3):
+        _biclique(graph, [f"c{block}a", f"c{block}b"], [f"d{block}a", f"d{block}b"], lambda i, j: 1)
+        graph.add_edge(f"c{block}a", previous, 1.0)
+        previous = f"d{block}a"
+    graph.add_edge("h0", previous, 1.0)
+    return graph, Vertex(Side.UPPER, "q0")
+
+
+def _runs_straddle_checkpoints():
+    """Three weights over a random 8x8 block: long equal-weight runs, so
+    ε·prefix lands inside a run and the checkpoint moves to its end."""
+    rng = random.Random(22)
+    graph = BipartiteGraph(name="runs")
+    for i in range(8):
+        for j in range(8):
+            if rng.random() < 0.55:
+                graph.add_edge(f"u{i}", f"v{j}", float(rng.choice((1, 2, 2, 3, 3, 3))))
+    return graph, Vertex(Side.UPPER, "u0")
+
+
+def _query_only_on_lightest_edges():
+    """Every edge of q carries the minimum weight: the query-degree rule
+    leaves the full prefix as the only checkpoint."""
+    graph = BipartiteGraph(name="light-query")
+    _biclique(graph, ["a0", "a1", "a2", "a3"], ["b0", "b1", "b2", "b3"], lambda i, j: 2 + (i + 2 * j) % 5)
+    for label in ("b0", "b1", "b2"):
+        graph.add_edge("q", label, 1.0)
+    return graph, Vertex(Side.UPPER, "q")
+
+
+def _distinct_weights():
+    """Every edge weight distinct: each position is a run boundary, so the
+    bisection back from the first passing checkpoint has the most to do."""
+    rng = random.Random(6)
+    graph = BipartiteGraph(name="distinct")
+    for i in range(9):
+        for j in range(9):
+            if rng.random() < 0.6:
+                graph.add_edge(f"u{i}", f"v{j}", rng.random())
+    return graph, Vertex(Side.UPPER, "u0")
+
+
+EXPAND_SCENARIOS = {
+    "heavy_block_far": _heavy_block_far_from_query,
+    "runs_straddle": _runs_straddle_checkpoints,
+    "query_lightest": _query_only_on_lightest_edges,
+    "distinct_weights": _distinct_weights,
+}
+
+
+class TestExpandKernel:
+    """The prefix-checkpoint expand kernel against the dict ``scs_peel`` oracle."""
+
+    @pytest.mark.parametrize("epsilon", [1.01, 2.0, 1e9])
+    @pytest.mark.parametrize("scenario", sorted(EXPAND_SCENARIOS))
+    def test_matches_peel_oracle(self, scenario, epsilon, monkeypatch):
+        import repro.decomposition.csr_kernels as kernels
+
+        graph, query = EXPAND_SCENARIOS[scenario]()
+        community = DegeneracyIndex(graph, backend="dict").community(query, 2, 2)
+        oracle = scs_peel(community, query, 2, 2)
+        src, dst, weight, upper_ids, lower_ids = community_edge_lists(community)
+        ids = upper_ids if query.side is Side.UPPER else lower_ids
+
+        validated = []
+        real_core = kernels._edge_core
+
+        def recording_core(us, *args):
+            validated.append(int(us.shape[0]))
+            return real_core(us, *args)
+
+        monkeypatch.setattr(kernels, "_edge_core", recording_core)
+        kept = csr_significant_edges(
+            src, dst, weight, query.side is Side.UPPER, ids[query.label], 2, 2,
+            method="expand", epsilon=epsilon,
+        ).tolist()
+        assert kept == sorted(kept)
+        got = edge_set_of_indices(kept, src, dst, weight, upper_ids, lower_ids)
+        assert got == graph_edge_triples(oracle)
+        monkeypatch.undo()
+        binary = csr_significant_edges(
+            src, dst, weight, query.side is Side.UPPER, ids[query.label], 2, 2,
+            method="binary",
+        ).tolist()
+        assert binary == kept  # the same kernel on the ε = ∞ schedule
+
+        # Every validated prefix is a whole threshold graph G≥w: it ends at a
+        # weight-run boundary of the descending order.
+        descending = sorted(weight, reverse=True)
+        total = len(descending)
+        assert validated
+        for prefix in validated:
+            assert prefix == total or descending[prefix - 1] != descending[prefix]
+        assert len(validated) == len(set(validated))
+        if scenario == "query_lightest":
+            assert validated == [total]
+        else:
+            assert len(validated) >= 2  # a failed validation came first
+        if scenario == "heavy_block_far":
+            assert validated[0] > 36  # the heavy block came first
+
+    def test_no_per_edge_python_calls(self):
+        """One expand over a ~22k-edge community makes < E/100 Python calls
+        (the union-find version made several per edge)."""
+        import sys
+
+        import numpy as np
+
+        rng = np.random.default_rng(5)
+        src, dst = np.nonzero(rng.random((160, 160)) < 0.85)
+        weight = rng.integers(1, 33, size=src.shape[0]).astype(float)
+        # Light query edges push the first checkpoint deep into the order.
+        weight[src == 0] = rng.integers(1, 5, size=int((src == 0).sum()))
+        assert src.shape[0] >= 20_000
+
+        def run():
+            return csr_significant_edges(src, dst, weight, True, 0, 3, 3, method="expand")
+
+        run()  # first-call imports inside numpy are not the kernel's cost
+        calls = [0]
+
+        def count(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+
+        sys.setprofile(count)
+        try:
+            kept = run()
+        finally:
+            sys.setprofile(None)
+        assert calls[0] < src.shape[0] / 100, calls[0]
+        peeled = csr_significant_edges(src, dst, weight, True, 0, 3, 3, method="peel")
+        assert np.array_equal(kept, peeled)
+
+
+class TestEpsilonValidation:
+    """A bad ε is refused before ``auto`` resolves, on every route."""
+
+    BAD = (0.5, 1.0, float("nan"))
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return make_random_weighted_graph(3)
+
+    def routes(self, delta):
+        """(α,β) pairs that resolve ``auto`` to expand and to peel."""
+        from repro.search import resolve_scs_method
+
+        pairs = {resolve_scs_method("auto", t, t, delta): (t, t) for t in (1, delta)}
+        assert set(pairs) == {"expand", "peel"}
+        return list(pairs.values())
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_searcher_entry_points(self, graph, backend):
+        searcher = CommunitySearcher(graph, backend=backend)
+        for alpha, beta in self.routes(searcher.degeneracy):
+            query = core_queries(searcher.index, alpha, beta)[0]
+            for epsilon in self.BAD:
+                for method in ("auto", "peel", "baseline"):
+                    with pytest.raises(InvalidParameterError):
+                        searcher.significant_community(
+                            query, alpha, beta, method=method, epsilon=epsilon
+                        )
+                    with pytest.raises(InvalidParameterError):
+                        searcher.batch_significant_communities(
+                            [(query, alpha, beta)], method=method, epsilon=epsilon,
+                            on_empty="none",
+                        )
+            assert searcher.significant_community(query, alpha, beta).graph.num_edges
+
+    def test_index_and_snapshot_batches(self, graph, tmp_path):
+        from repro.serving.snapshot import load_snapshot, save_snapshot
+
+        index = DegeneracyIndex(graph, backend="csr")
+        snapshot = load_snapshot(save_snapshot(index, tmp_path / "snap"))
+        for source in (index, snapshot):
+            for alpha, beta in self.routes(index.delta):
+                query = core_queries(index, alpha, beta)[0]
+                for epsilon in self.BAD:
+                    with pytest.raises(InvalidParameterError):
+                        source.batch_significant_edges(
+                            [(query, alpha, beta)], epsilon=epsilon, on_empty="none"
+                        )
 
 
 class TestNoMaterialisation:
