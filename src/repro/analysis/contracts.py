@@ -25,18 +25,6 @@ TWIN_REGISTRY = (
         twin_only=("degrees", "neighbors"),
     ),
     TwinPair(
-        kernel="repro.decomposition.csr_kernels:csr_region_offsets_fixed_primary",
-        twin="repro.decomposition.offsets:region_offsets_fixed_primary",
-        kernel_only=(
-            "csr",
-            "ext_owner_u",
-            "ext_offset_u",
-            "ext_owner_l",
-            "ext_offset_l",
-        ),
-        twin_only=("internal", "external"),
-    ),
-    TwinPair(
         kernel="repro.index.traversal:bfs_over_arrays",
         twin="repro.index.traversal:bfs_over_lists",
         aliases={"query_id": "query"},

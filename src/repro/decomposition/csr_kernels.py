@@ -237,6 +237,10 @@ def csr_offsets_fixed_primary(
     return off_u, off_l
 
 
+#: "No further event": larger than any degree or offset.
+_NEVER = int(np.iinfo(np.int64).max)
+
+
 class _ExternalSupports:
     """External support entries of one layer, consumed in offset order.
 
@@ -260,14 +264,14 @@ class _ExternalSupports:
         self.cursor = 0
 
     def next_expiry(self) -> int:
-        """Smallest offset still supporting anyone (-1 when exhausted)."""
+        """Smallest offset still supporting anyone (:data:`_NEVER` when exhausted)."""
         if self.cursor >= self.offsets.shape[0]:
-            return -1
+            return _NEVER
         return int(self.offsets[self.cursor])
 
     def drop_below(self, target: int) -> np.ndarray:
         """Owners of the entries that stop counting once the target is ``target``."""
-        end = int(np.searchsorted(self.offsets, target, side="left"))
+        end = int(self.offsets.searchsorted(target, side="left"))
         dropped = self.owners[self.cursor : end]
         self.cursor = end
         return dropped
@@ -321,9 +325,15 @@ def csr_region_offsets_fixed_primary(
         thr_u, thr_l = 1, threshold
 
     # Phase 1: reduce to the (threshold, 1)-core under target-1 supports.
-    seeds_u = np.flatnonzero(deg_u < thr_u)
-    seeds_l = np.flatnonzero(deg_l < thr_l)
-    _cascade(csr, alive_u, alive_l, deg_u, deg_l, thr_u, thr_l, seeds_u, seeds_l)
+    # Array methods instead of numpy's Python-level wrappers keep the loop
+    # below to a fixed handful of Python calls per level: regions are peeled
+    # on every update, most of them small.
+    seeds_u = (deg_u < thr_u).nonzero()[0]
+    seeds_l = (deg_l < thr_l).nonzero()[0]
+    removed_u, removed_l = _cascade(
+        csr, alive_u, alive_l, deg_u, deg_l, thr_u, thr_l, seeds_u, seeds_l
+    )
+    num_alive = num_u + num_l - removed_u.shape[0] - removed_l.shape[0]
 
     alive_sec, deg_sec = (
         (alive_l, deg_l) if primary_side is Side.UPPER else (alive_u, deg_u)
@@ -334,14 +344,14 @@ def csr_region_offsets_fixed_primary(
     # primary vertex supported purely by external neighbours outlives every
     # internal secondary vertex and still has to be expired by offset.
     level = 1
-    while bool(alive_u.any()) or bool(alive_l.any()):
-        alive_ids = np.flatnonzero(alive_sec)
-        min_degree = (
-            int(deg_sec[alive_ids].min()) if alive_ids.size else np.iinfo(np.int64).max
+    while num_alive:
+        alive_degrees = deg_sec[alive_sec]
+        jump = min(
+            int(np.minimum.reduce(alive_degrees)) if alive_degrees.shape[0] else _NEVER,
+            ext_u.next_expiry(),
+            ext_l.next_expiry(),
         )
-        expiries = [e for e in (ext_u.next_expiry(), ext_l.next_expiry()) if e >= 0]
-        jump = min([min_degree] + expiries)
-        if jump == np.iinfo(np.int64).max:  # pragma: no cover - defensive
+        if jump == _NEVER:  # pragma: no cover - defensive
             break  # nothing left to expire and no secondary vertex alive
         level = max(level, jump)
         target = level + 1
@@ -351,11 +361,12 @@ def csr_region_offsets_fixed_primary(
             thr_u, thr_l = threshold, target
         else:
             thr_u, thr_l = target, threshold
-        seeds_u = np.flatnonzero(alive_u & (deg_u < thr_u))
-        seeds_l = np.flatnonzero(alive_l & (deg_l < thr_l))
+        seeds_u = (alive_u & (deg_u < thr_u)).nonzero()[0]
+        seeds_l = (alive_l & (deg_l < thr_l)).nonzero()[0]
         removed_u, removed_l = _cascade(
             csr, alive_u, alive_l, deg_u, deg_l, thr_u, thr_l, seeds_u, seeds_l
         )
+        num_alive -= removed_u.shape[0] + removed_l.shape[0]
         off_u[removed_u] = level
         off_l[removed_l] = level
         level = target

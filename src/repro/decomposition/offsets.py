@@ -43,7 +43,6 @@ __all__ = [
     "max_beta",
     "offset_tables",
     "offsets_dict_from_arrays",
-    "region_offsets_fixed_primary",
 ]
 
 
@@ -166,110 +165,6 @@ def _offsets_for_fixed_primary(
         }
         for vertex in touched:
             push_secondary(vertex)
-        level = target
-    return offsets
-
-
-def region_offsets_fixed_primary(
-    internal: Dict[Vertex, Tuple[Vertex, ...]],
-    external: Dict[Vertex, List[int]],
-    primary_side: Side,
-    threshold: int,
-) -> Dict[Vertex, int]:
-    """Offsets of a candidate *region* with the rest of the graph frozen.
-
-    The dict-backend twin of
-    :func:`repro.decomposition.csr_kernels.csr_region_offsets_fixed_primary`:
-    ``internal`` maps every region vertex to its neighbours *inside* the
-    region, and ``external[v]`` lists the old offsets (at the processed level
-    and half) of ``v``'s neighbours outside the region.  An outside neighbour
-    with old offset ``o`` supports ``v`` for every secondary peeling target up
-    to ``o`` — exact as long as no boundary vertex's offset actually changes,
-    which the maintenance engine verifies after the pass.
-
-    Regions are small by construction, so this uses plain scans instead of
-    the lazy heap of :func:`_offsets_for_fixed_primary`.
-
-    Contract: region offsets with outside neighbours frozen at their old offsets; exact whenever no boundary vertex's offset changes.
-    """
-    secondary_side = primary_side.other
-    offsets: Dict[Vertex, int] = {vertex: 0 for vertex in internal}
-    alive = set(internal)
-
-    # Flatten the external supports into one expiry queue sorted by offset.
-    events: List[Tuple[int, Vertex]] = sorted(
-        (
-            (offset, vertex)
-            for vertex, ext in external.items()
-            for offset in ext
-            if offset >= 1
-        ),
-        key=lambda event: event[0],
-    )
-    cursor = 0
-    degrees: Dict[Vertex, int] = {
-        vertex: len(nbrs) + sum(1 for o in external.get(vertex, ()) if o >= 1)
-        for vertex, nbrs in internal.items()
-    }
-
-    def cascade(seeds: Iterable[Vertex], thr_primary: int, thr_secondary: int) -> List[Vertex]:
-        removed: List[Vertex] = []
-        queue: deque[Vertex] = deque(seeds)
-        while queue:
-            vertex = queue.popleft()
-            if vertex not in alive:
-                continue
-            alive.discard(vertex)
-            removed.append(vertex)
-            for nbr in internal[vertex]:
-                if nbr not in alive:
-                    continue
-                degrees[nbr] -= 1
-                limit = thr_primary if nbr.side is primary_side else thr_secondary
-                if degrees[nbr] < limit:
-                    queue.append(nbr)
-        return removed
-
-    # Phase 1: reduce to the (threshold, 1)-core under target-1 supports.
-    cascade(
-        [
-            v
-            for v in internal
-            if degrees[v] < (threshold if v.side is primary_side else 1)
-        ],
-        threshold,
-        1,
-    )
-
-    # Phase 2: raise the secondary target, expiring external supports as it
-    # passes their offsets.  The loop runs while anything is alive: a vertex
-    # supported purely by external neighbours has no internal secondary
-    # neighbour left and must still be expired by offset.
-    level = 1
-    while alive:
-        secondary_degrees = [
-            degrees[v] for v in alive if v.side is secondary_side
-        ]
-        jumps = []
-        if secondary_degrees:
-            jumps.append(min(secondary_degrees))
-        if cursor < len(events):
-            jumps.append(events[cursor][0])
-        if not jumps:  # pragma: no cover - defensive; cannot hold at thresholds >= 1
-            break
-        level = max(level, min(jumps))
-        target = level + 1
-        while cursor < len(events) and events[cursor][0] < target:
-            owner = events[cursor][1]
-            degrees[owner] -= 1
-            cursor += 1
-        seeds = [
-            v
-            for v in alive
-            if degrees[v] < (threshold if v.side is primary_side else target)
-        ]
-        for vertex in cascade(seeds, threshold, target):
-            offsets[vertex] = level
         level = target
     return offsets
 

@@ -39,6 +39,11 @@ class Side(enum.Enum):
     UPPER = "upper"
     LOWER = "lower"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality; it runs in C, where ``Enum.__hash__`` costs
+    # a Python frame on every ``Vertex`` dict lookup.
+    __hash__ = object.__hash__
+
     @property
     def other(self) -> "Side":
         """Return the opposite layer."""

@@ -26,6 +26,7 @@ on the dict graph, then the graph is re-frozen.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -171,19 +172,23 @@ class CSRBipartiteGraph:
         )
 
     def thaw(self) -> BipartiteGraph:
-        """Reconstruct an equivalent mutable :class:`BipartiteGraph`."""
-        graph = BipartiteGraph(name=self.name)
-        for label in self.upper_labels:
-            graph.add_vertex(Side.UPPER, label)
-        for label in self.lower_labels:
-            graph.add_vertex(Side.LOWER, label)
-        indptr = self.u_indptr
-        indices = self.u_indices.tolist()
-        weights = self.u_weights.tolist()
-        for i, upper_label in enumerate(self.upper_labels):
-            for pos in range(int(indptr[i]), int(indptr[i + 1])):
-                graph.add_edge(upper_label, self.lower_labels[indices[pos]], weights[pos])
-        return graph
+        """Reconstruct an equivalent mutable :class:`BipartiteGraph`.
+
+        The result is the graph that adding every vertex in id order and
+        then every upper slice's edges in CSR order would build.
+        """
+        sources = np.repeat(
+            np.arange(self.num_upper, dtype=np.int64), np.diff(self.u_indptr)
+        )
+        return _graph_from_edge_arrays(
+            sources,
+            self.u_indices,
+            self.u_weights,
+            np.fromiter(self.upper_labels, dtype=object, count=self.num_upper),
+            np.fromiter(self.lower_labels, dtype=object, count=self.num_lower),
+            self.name,
+            keep_isolated=True,
+        )
 
     # ------------------------------------------------------------------ #
     # sizes / degrees
@@ -339,6 +344,75 @@ class CSRBipartiteGraph:
             f"<CSRBipartiteGraph{tag} |U|={self.num_upper} |L|={self.num_lower} "
             f"|E|={self.num_edges}>"
         )
+
+
+def _owner_runs(owners: np.ndarray, label_arr: np.ndarray) -> Tuple[List, List[int]]:
+    """The labels and lengths of the contiguous runs of a non-empty ``owners``."""
+    boundaries = np.flatnonzero(owners[1:] != owners[:-1]) + 1
+    run_starts = np.concatenate(([0], boundaries))
+    run_counts = np.diff(np.concatenate((run_starts, [owners.shape[0]])))
+    return label_arr[owners[run_starts]].tolist(), run_counts.tolist()
+
+
+def _grouped_adjacency(
+    owner_labels: List[Hashable],
+    counts: List[int],
+    other_labels: List[Hashable],
+    weights: List[float],
+) -> Dict[Hashable, Dict[Hashable, float]]:
+    """``{owner label: {other label: weight}}``, owners in the given order.
+
+    Owner ``i`` takes the next ``counts[i]`` (other label, weight) pairs, a
+    zero count giving it an empty dict; the inner dicts are built by
+    draining one shared pair iterator with ``islice`` — no per-owner slice
+    copies, no per-edge ``add_edge`` calls.
+    """
+    pairs = zip(other_labels, weights)
+    return {
+        label: dict(islice(pairs, count)) for label, count in zip(owner_labels, counts)
+    }
+
+
+def _graph_from_edge_arrays(
+    src: np.ndarray,
+    dst: np.ndarray,
+    weight: np.ndarray,
+    upper_label_arr: np.ndarray,
+    lower_label_arr: np.ndarray,
+    name: str,
+    keep_isolated: bool = False,
+) -> BipartiteGraph:
+    """Materialise a :class:`BipartiteGraph` from parallel edge-id arrays.
+
+    ``src`` must list each upper id in one contiguous run (BFS expansion
+    order, or CSR order), so the upper direction needs no sort; the mirror
+    pays a single stable sort by lower id, so every lower vertex lists its
+    neighbours in edge order.  By default only vertices with an edge
+    appear: uppers in run order, lowers by ascending id.  ``keep_isolated``
+    (with ``src`` ascending) keeps every label of both label arrays, in id
+    order, edgeless ones included.
+    """
+    order = np.argsort(dst, kind="stable")
+    if keep_isolated:
+        upper_owners = upper_label_arr.tolist()
+        upper_counts = np.bincount(src, minlength=len(upper_owners)).tolist()
+        lower_owners = lower_label_arr.tolist()
+        lower_counts = np.bincount(dst, minlength=len(lower_owners)).tolist()
+    else:
+        upper_owners, upper_counts = _owner_runs(src, upper_label_arr)
+        lower_owners, lower_counts = _owner_runs(dst[order], lower_label_arr)
+    upper_adj = _grouped_adjacency(
+        upper_owners, upper_counts, lower_label_arr[dst].tolist(), weight.tolist()
+    )
+    lower_adj = _grouped_adjacency(
+        lower_owners,
+        lower_counts,
+        upper_label_arr[src[order]].tolist(),
+        weight[order].tolist(),
+    )
+    return BipartiteGraph._from_mirrored_adjacency(
+        upper_adj, lower_adj, num_edges=int(src.shape[0]), name=name
+    )
 
 
 def freeze(graph: BipartiteGraph) -> CSRBipartiteGraph:

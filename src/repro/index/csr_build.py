@@ -48,8 +48,11 @@ __all__ = [
     "build_level_arrays",
     "level_arrays_from_dicts",
     "level_dicts_from_arrays",
+    "retained_lists",
     "entries_to_patch_arrays",
     "patch_level_arrays",
+    "merge_level_patches",
+    "remap_level_arrays",
     "assemble_sorted_vertex_table",
 ]
 
@@ -260,6 +263,19 @@ def build_level_arrays(
     )
 
 
+def retained_lists(arrays: LevelArrays, tau: int, alpha_half: bool) -> np.ndarray:
+    """Per global id, whether the index stores an adjacency list at this level.
+
+    Every vertex with entries has one; the α-half also stores an empty list
+    for each (τ,τ)-core member without entries — what ``_build_level``
+    produces, so counting the mask gives the index's ``adjacency_lists``.
+    """
+    kept = np.diff(arrays.indptr) > 0
+    if alpha_half:
+        kept |= arrays.offsets >= tau
+    return kept
+
+
 def level_dicts_from_arrays(
     arrays: LevelArrays,
     handles: "Sequence[Vertex]",
@@ -271,30 +287,26 @@ def level_dicts_from_arrays(
     The inverse of :func:`level_arrays_from_dicts`, used to reopen a snapshot
     as a *mutable* index (``DynamicDegeneracyIndex.from_snapshot``) without a
     from-scratch peel.  ``handles`` maps global ids to :class:`Vertex` handles
-    (``None`` marks a dead id left behind by maintenance removals).  The
-    α-half stores a (possibly empty) list for every (τ,τ)-core member, the
-    β-half only non-empty lists — matching what ``_build_level`` produces.
+    (``None`` marks a dead id left behind by maintenance removals).  Lists
+    are kept as :func:`retained_lists` says.
     """
     offsets: Dict[Vertex, int] = {}
     lists: AdjacencyLists = {}
-    indptr = arrays.indptr
+    indptr = arrays.indptr.tolist()
     entry_vertex = arrays.entry_vertex.tolist()
     entry_weight = arrays.entry_weight.tolist()
     entry_offset = arrays.entry_offset.tolist()
     offset_values = arrays.offsets.tolist()
+    kept = retained_lists(arrays, tau, alpha_half).tolist()
     for gid, handle in enumerate(handles):
         if handle is None:
             continue
-        offset = int(offset_values[gid])
-        offsets[handle] = offset
-        lo, hi = int(indptr[gid]), int(indptr[gid + 1])
-        if hi > lo:
+        offsets[handle] = offset_values[gid]
+        if kept[gid]:
             lists[handle] = [
                 (handles[entry_vertex[pos]], entry_weight[pos], entry_offset[pos])
-                for pos in range(lo, hi)
+                for pos in range(indptr[gid], indptr[gid + 1])
             ]
-        elif alpha_half and offset >= tau:
-            lists[handle] = []
     return offsets, lists
 
 
@@ -324,6 +336,13 @@ def entries_to_patch_arrays(
     return gids, counts, entry_vertex, entry_weight, entry_offset
 
 
+def _slice_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated positions ``starts[i] : starts[i] + counts[i]``, in order."""
+    total = int(counts.sum())
+    heads = np.cumsum(counts) - counts
+    return np.repeat(starts - heads, counts) + np.arange(total, dtype=np.int64)
+
+
 def patch_level_arrays(
     arrays: LevelArrays,
     gids: np.ndarray,
@@ -337,15 +356,18 @@ def patch_level_arrays(
 ) -> LevelArrays:
     """Splice patched per-vertex entry slices into a :class:`LevelArrays`.
 
-    ``gids``/``counts``/entry arrays come from :func:`entries_to_patch_arrays`;
-    ``offset_gids``/``offset_values`` assign the patched per-vertex offsets
-    (zeros included, so vanished vertices are wiped).  When every patched
-    vertex keeps its entry count and the underlying buffers are writable, the
-    patch is applied in place (the common case for reweights and small
-    updates); otherwise the arrays are rebuilt with one pass that copies the
-    unchanged gaps between patched vertices — never touching entries outside
-    the patched region.  Snapshot replay passes ``allow_in_place=False``
-    because its base segments are read-only memory maps.
+    ``gids`` (ascending, unique) / ``counts`` / entry arrays come from
+    :func:`entries_to_patch_arrays`; ``offset_gids``/``offset_values`` assign
+    the patched per-vertex offsets (zeros included, so vanished vertices are
+    wiped).  When every patched vertex keeps its entry count and the
+    underlying buffers are writable, the patch is scattered in place (the
+    common case for reweights and small updates); otherwise the arrays are
+    rebuilt with two masks over the new entry positions — *fresh* slots owned
+    by a patched vertex take the patch entries, the rest take the old
+    entries of every unpatched vertex in order — never touching entries
+    outside the patched region.  Snapshot replay passes
+    ``allow_in_place=False`` because its base segments are read-only memory
+    maps.
 
     Contract: splice recomputed per-vertex entries and offsets of one level; vertices outside the patched set are untouched.
     """
@@ -366,51 +388,34 @@ def patch_level_arrays(
     )
     old_counts = indptr[gids + 1] - indptr[gids] if gids.size else counts
     if allow_in_place and writable and np.array_equal(old_counts, counts):
-        pos = 0
-        for gid, count in zip(gids.tolist(), counts.tolist()):
-            lo = int(indptr[gid])
-            arrays.entry_vertex[lo : lo + count] = entry_vertex[pos : pos + count]
-            arrays.entry_weight[lo : lo + count] = entry_weight[pos : pos + count]
-            arrays.entry_offset[lo : lo + count] = entry_offset[pos : pos + count]
-            pos += count
+        if gids.size:
+            positions = _slice_positions(indptr[gids], counts)
+            arrays.entry_vertex[positions] = entry_vertex
+            arrays.entry_weight[positions] = entry_weight
+            arrays.entry_offset[positions] = entry_offset
         if offset_gids.size:
             arrays.offsets[offset_gids] = offset_values
         return arrays
 
-    per_vertex = np.asarray(indptr[1:] - indptr[:-1], dtype=np.int64)
+    per_vertex = np.diff(indptr)
+    patched = np.zeros(per_vertex.shape[0], dtype=bool)
+    patched[gids] = True
+    keep = np.repeat(~patched, per_vertex)
     per_vertex[gids] = counts
     new_indptr = np.zeros(indptr.shape[0], dtype=np.int64)
     np.cumsum(per_vertex, out=new_indptr[1:])
+    fresh = np.repeat(patched, per_vertex)
     total = int(new_indptr[-1])
     new_vertex = np.empty(total, dtype=np.int64)
     new_weight = np.empty(total, dtype=np.float64)
     new_offset = np.empty(total, dtype=np.int64)
-
-    # Copy the unchanged runs between consecutive patched vertices; both id
-    # spaces advance by identical amounts inside a run, so plain slices do.
-    prev_old = 0
-    prev_new = 0
-    for gid in gids.tolist():
-        old_lo = int(indptr[gid])
-        if old_lo > prev_old:
-            new_lo = int(new_indptr[gid])
-            new_vertex[prev_new:new_lo] = arrays.entry_vertex[prev_old:old_lo]
-            new_weight[prev_new:new_lo] = arrays.entry_weight[prev_old:old_lo]
-            new_offset[prev_new:new_lo] = arrays.entry_offset[prev_old:old_lo]
-        prev_old = int(indptr[gid + 1])
-        prev_new = int(new_indptr[gid + 1])
-    if int(indptr[-1]) > prev_old:
-        new_vertex[prev_new:] = arrays.entry_vertex[prev_old:]
-        new_weight[prev_new:] = arrays.entry_weight[prev_old:]
-        new_offset[prev_new:] = arrays.entry_offset[prev_old:]
-
-    pos = 0
-    for gid, count in zip(gids.tolist(), counts.tolist()):
-        lo = int(new_indptr[gid])
-        new_vertex[lo : lo + count] = entry_vertex[pos : pos + count]
-        new_weight[lo : lo + count] = entry_weight[pos : pos + count]
-        new_offset[lo : lo + count] = entry_offset[pos : pos + count]
-        pos += count
+    stale = ~fresh
+    new_vertex[stale] = arrays.entry_vertex[keep]
+    new_weight[stale] = arrays.entry_weight[keep]
+    new_offset[stale] = arrays.entry_offset[keep]
+    new_vertex[fresh] = entry_vertex
+    new_weight[fresh] = entry_weight
+    new_offset[fresh] = entry_offset
 
     offsets = np.array(arrays.offsets, dtype=np.int64, copy=True)
     if offset_gids.size:
@@ -422,6 +427,67 @@ def patch_level_arrays(
         entry_weight=new_weight,
         entry_offset=new_offset,
         offsets=offsets,
+    )
+
+
+#: One recorded level patch: ``(gids, counts, entry_vertex, entry_weight,
+#: entry_offset, offset_values)`` with the offsets assigned to ``gids``.
+LevelPatch = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def merge_level_patches(patches: Sequence[LevelPatch]) -> LevelPatch:
+    """Collapse a sequence of one level's patches into one equivalent patch.
+
+    Each patch replaces whole per-vertex slices and offsets, so applying the
+    sequence one by one leaves every gid with the slice and offset of the
+    *last* patch that wrote it: the merge keeps exactly those records
+    (ascending gid, like every patch) and one :func:`patch_level_arrays` call
+    then reproduces the sequential replay bit for bit.
+    """
+    if len(patches) == 1:
+        return patches[0]
+    gids = np.concatenate([np.asarray(p[0], dtype=np.int64) for p in patches])
+    counts = np.concatenate([np.asarray(p[1], dtype=np.int64) for p in patches])
+    ev, ew, eo, values = (
+        np.concatenate([p[i] for p in patches]) for i in range(2, 6)
+    )
+    # np.unique on the reversed gids finds each gid's last writer.
+    last = gids.shape[0] - 1
+    unique, first_in_reversed = np.unique(gids[::-1], return_index=True)
+    chosen = last - first_in_reversed
+    starts = (np.cumsum(counts) - counts)[chosen]
+    positions = _slice_positions(starts, counts[chosen])
+    return (
+        unique,
+        counts[chosen],
+        ev[positions],
+        ew[positions],
+        eo[positions],
+        values[chosen],
+    )
+
+
+def remap_level_arrays(
+    arrays: LevelArrays, old_ids: np.ndarray, new_ids: np.ndarray, num_upper: int
+) -> LevelArrays:
+    """One level moved onto a compacted id space with vectorised gathers.
+
+    New vertex ``g`` is old vertex ``old_ids[g]``; ``new_ids`` maps every old
+    id to its new one (``-1`` for dead ids, which own no entries and which
+    no entry names).  Entry slices keep their order, so the result equals
+    the level a fresh export of the same index would write.
+    """
+    counts = np.diff(arrays.indptr)[old_ids]
+    indptr = np.zeros(old_ids.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    positions = _slice_positions(arrays.indptr[old_ids], counts)
+    return LevelArrays(
+        num_upper=num_upper,
+        indptr=indptr,
+        entry_vertex=new_ids[arrays.entry_vertex[positions]],
+        entry_weight=np.asarray(arrays.entry_weight[positions], dtype=np.float64),
+        entry_offset=np.asarray(arrays.entry_offset[positions], dtype=np.int64),
+        offsets=np.asarray(arrays.offsets[old_ids], dtype=np.int64),
     )
 
 

@@ -4,7 +4,9 @@ The paper's maintenance section observes that after inserting or removing an
 edge ``(u, v)`` only a bounded *candidate region* around the edge — the S⁺
 (insertion) / S⁻ (removal) sets — can change its offsets at any level, and
 only those vertices' index entries need recomputing.  This module implements
-that outline as three cooperating pieces:
+that outline as three cooperating pieces, the first two of which run on
+global integer ids (upper vertices first, as in
+:class:`~repro.index.csr_build.LevelArrays`) and numpy arrays:
 
 **Region planner** (:func:`plan_level_region`)
     Per level and index half, a slack-aware closure expands from the updated
@@ -16,30 +18,35 @@ that outline as three cooperating pieces:
     it has slack, and the S⁺ closure only when its optimistic support at
     ``old + 1`` reaches the peeling requirement — so the closure stays a
     small ball around the edge even on graphs with one giant component.
+    Its inputs are the level's id-indexed offset array and the graph's
+    neighbour ids (:class:`IdAdjacency`), both kept by the maintained index
+    in one append-only id space and updated in place on every edge insert
+    and removal — a never-seen vertex is appended, not a reason to
+    re-intern.  Each round expands a whole frontier with numpy gathers over
+    generation-stamped scratch, so no :class:`Vertex` is built or hashed
+    per neighbour and the work follows the closure, not the graph size.
 
 **Region peel** (:class:`_RegionPeel`)
-    The candidate region is re-peeled with every edge leaving it frozen at
-    the outside endpoint's old offset (an outside vertex belongs to the
+    The candidate region is frozen into a private sub-CSR with numpy
+    gathers, and every edge leaving it becomes an external support frozen
+    at the outside endpoint's old offset (an outside vertex belongs to the
     (τ,β)-core exactly when its old offset is ≥ β, so it supports its region
     neighbour for secondary targets up to that offset).  Because vertices
-    outside the closure provably keep their offsets, the frozen peel is
-    *exact* — no verification pass is needed.  It runs on the vectorised CSR
-    kernels
-    (:func:`~repro.decomposition.csr_kernels.csr_region_offsets_fixed_primary`)
-    for CSR-backed indexes and larger regions, and on the pure-python twin
-    (:func:`~repro.decomposition.offsets.region_offsets_fixed_primary`)
-    otherwise.  A closure that outgrows the region budget sends just that
-    level down the full re-peel fallback.
+    outside the closure provably keep their offsets, the frozen peel —
+    :func:`~repro.decomposition.csr_kernels.csr_region_offsets_fixed_primary`
+    — is *exact*; no verification pass is needed.  A closure that outgrows
+    the region budget sends just that level down the full re-peel fallback.
 
 **Patch applier**
     Level results are applied change-driven: only vertices whose offsets
     moved, their neighbours (whose sorted entries embed those offsets) and
     the edge's endpoints get their adjacency lists rebuilt — in the dict
-    stores *and*, via :func:`~repro.index.csr_build.patch_level_arrays`,
-    in any materialised :class:`~repro.index.csr_build.LevelArrays` of the
-    array query path, so a maintained index keeps answering batch queries on
-    the fast array path instead of invalidating it on every update.  Every
-    patch is also recorded in a :class:`MaintenanceJournal` so
+    stores, in the planner's offset arrays and, via
+    :func:`~repro.index.csr_build.patch_level_arrays`, in whatever
+    :class:`~repro.index.csr_build.LevelArrays` a query has materialised on
+    the array query path (a writer that never queries builds none, so its
+    per-update cost never pays a whole-level copy).  Every patch is also
+    recorded in a :class:`MaintenanceJournal` so
     ``save_index(format="snapshot")`` can persist just the delta next to an
     existing base snapshot (:mod:`repro.serving.snapshot`).
 
@@ -51,9 +58,18 @@ without touching the rest of the graph.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -64,7 +80,6 @@ if TYPE_CHECKING:
     from repro.serving.snapshot import SnapshotIndex
 
 from repro.decomposition.abcore import abcore_vertices
-from repro.decomposition.offsets import region_offsets_fixed_primary
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex
 from repro.graph.views import induced_subgraph
 from repro.index.base import IndexStats
@@ -73,6 +88,7 @@ from repro.utils.timer import Timer
 
 __all__ = [
     "DEFAULT_REGION_BUDGET",
+    "IdAdjacency",
     "plan_level_region",
     "MaintenanceJournal",
     "DynamicDegeneracyIndex",
@@ -82,29 +98,183 @@ __all__ = [
 #: contain before that level's maintenance falls back to a full re-peel.
 DEFAULT_REGION_BUDGET = 4096
 
-#: Candidate regions at least this large peel on the CSR kernels (when the
-#: index backend is CSR); below it the python peel wins on constant factors.
-_REGION_CSR_THRESHOLD = 32
+_EMPTY_IDS = np.empty(0, dtype=np.int64)
+
+
+# --------------------------------------------------------------------------- #
+# the graph over global ids
+# --------------------------------------------------------------------------- #
+class IdAdjacency:
+    """The maintained graph over an append-only global id space.
+
+    ``handles[g]`` is the :class:`Vertex` of id ``g`` (``ids`` the reverse
+    map), ``upper[g]`` flags the upper side, ``neighbours[g]`` holds the
+    neighbour ids and ``degrees[g]`` their count.  The maintained index
+    updates the adjacency on every edge insert and removal, so planning and
+    peeling a candidate region gathers neighbour ids with numpy instead of
+    building and hashing one :class:`Vertex` per neighbour.  A vanished
+    vertex keeps its id (with no neighbours) and a never-seen one is
+    appended by :meth:`intern`; the per-id arrays keep spare capacity, so
+    the id space grows in place.
+
+    The planner's per-id scratch lives here too: marks stamped with a
+    per-plan generation, so a plan reads and writes only the ids it visits
+    and never allocates or clears an array as long as the id space.
+    """
+
+    __slots__ = (
+        "handles",
+        "ids",
+        "upper",
+        "neighbours",
+        "degrees",
+        "_generation",
+        "_seed",
+        "_inside",
+        "_settled",
+        "_slack",
+    )
+
+    def __init__(self, handles: List[Vertex], neighbours: List[np.ndarray]) -> None:
+        self.handles = handles
+        self.ids = {handle: gid for gid, handle in enumerate(handles)}
+        self.neighbours = neighbours
+        capacity = max(len(handles), 1)
+        self.upper = np.zeros(capacity, dtype=bool)
+        self.upper[: len(handles)] = [handle.side is Side.UPPER for handle in handles]
+        self.degrees = np.zeros(capacity, dtype=np.int64)
+        self.degrees[: len(handles)] = [ids.shape[0] for ids in neighbours]
+        self._generation = 0
+        self._seed = np.zeros(capacity, dtype=np.int64)
+        self._inside = np.zeros(capacity, dtype=np.int64)
+        self._settled = np.zeros(capacity, dtype=np.int64)
+        self._slack = np.zeros(capacity, dtype=np.int64)
+
+    @classmethod
+    def from_graph(
+        cls,
+        graph: BipartiteGraph,
+        upper_labels: Sequence[Hashable],
+        lower_labels: Sequence[Hashable],
+    ) -> "IdAdjacency":
+        """Intern ``graph``'s edges over the given labels (upper ids first)."""
+        handles = [Vertex(Side.UPPER, label) for label in upper_labels] + [
+            Vertex(Side.LOWER, label) for label in lower_labels
+        ]
+        ids = {handle: gid for gid, handle in enumerate(handles)}
+        neighbours: List[np.ndarray] = []
+        for handle in handles:
+            if graph.has_vertex(handle.side, handle.label):
+                other = handle.side.other
+                neighbours.append(
+                    np.array(
+                        [
+                            ids[Vertex(other, nbr)]
+                            for nbr in graph.neighbors(handle.side, handle.label)
+                        ],
+                        dtype=np.int64,
+                    )
+                )
+            else:
+                neighbours.append(_EMPTY_IDS)
+        return cls(handles, neighbours)
+
+    @property
+    def capacity(self) -> int:
+        """The length of every per-id array (at least the number of ids)."""
+        return self.upper.shape[0]
+
+    def intern(self, vertex: Vertex) -> int:
+        """The id of ``vertex``, appending it when it was never seen."""
+        gid = self.ids.get(vertex)
+        if gid is not None:
+            return gid
+        gid = len(self.handles)
+        self.handles.append(vertex)
+        self.ids[vertex] = gid
+        self.neighbours.append(_EMPTY_IDS)
+        if gid == self.capacity:
+            for name in ("upper", "degrees", "_seed", "_inside", "_settled", "_slack"):
+                array = getattr(self, name)
+                setattr(self, name, np.concatenate((array, np.zeros_like(array))))
+        self.upper[gid] = vertex.side is Side.UPPER
+        return gid
+
+    def add_edge(self, upper_id: int, lower_id: int) -> None:
+        for owner, nbr in ((upper_id, lower_id), (lower_id, upper_id)):
+            self.neighbours[owner] = np.append(self.neighbours[owner], nbr)
+            self.degrees[owner] += 1
+
+    def remove_edge(self, upper_id: int, lower_id: int) -> None:
+        for owner, nbr in ((upper_id, lower_id), (lower_id, upper_id)):
+            ids = self.neighbours[owner]
+            self.neighbours[owner] = ids[ids != nbr]
+            self.degrees[owner] -= 1
+
+    def gather(self, gids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(owner position in gids, neighbour id)`` for every edge of ``gids``."""
+        if gids.shape[0] == 1:
+            nbrs = self.neighbours[int(gids[0])]
+        elif gids.shape[0]:
+            nbrs = np.concatenate([self.neighbours[g] for g in gids.tolist()])
+        else:
+            nbrs = _EMPTY_IDS
+        owners = np.repeat(np.arange(gids.shape[0], dtype=np.int64), self.degrees[gids])
+        return owners, nbrs
+
+
+def _support(
+    adjacency: IdAdjacency,
+    offsets: np.ndarray,
+    vertices: np.ndarray,
+    levels: np.ndarray,
+    seed_generation: int = 0,
+) -> np.ndarray:
+    """Per vertex, how many neighbours have an old offset ≥ its ``level``.
+
+    With a ``seed_generation``, the seeds stamped by that plan (the
+    endpoints of an insertion) count regardless of their offset.
+    """
+    owners, nbrs = adjacency.gather(vertices)
+    counted = offsets[nbrs] >= levels[owners]
+    if seed_generation:
+        counted |= adjacency._seed[nbrs] == seed_generation
+    return np.bincount(owners[counted], minlength=vertices.shape[0])
+
+
+def _requirement(
+    adjacency: IdAdjacency,
+    vertices: np.ndarray,
+    primary_side: Side,
+    threshold: int,
+    secondary: np.ndarray,
+) -> np.ndarray:
+    """The peeling requirement: ``threshold`` on the primary side, else ``secondary``."""
+    primary = adjacency.upper[vertices] == (primary_side is Side.UPPER)
+    return np.where(primary, threshold, secondary)
 
 
 # --------------------------------------------------------------------------- #
 # region planning — the S⁺ / S⁻ candidate closure
 # --------------------------------------------------------------------------- #
 def plan_level_region(
-    graph: BipartiteGraph,
-    old_offsets: Dict[Vertex, int],
+    adjacency: IdAdjacency,
+    old_offsets: np.ndarray,
     primary_side: Side,
     threshold: int,
-    seeds: Sequence[Vertex],
+    seeds: np.ndarray,
     removal: bool,
     budget: Optional[int] = None,
-) -> Optional[List[Vertex]]:
-    """The candidate set whose offsets can change at one level and half.
+) -> Optional[np.ndarray]:
+    """The global ids whose offsets can change at one level and half.
 
-    The closure exploits two structural facts of a single edge update: a
-    *non-endpoint* offset moves by at most one, and every changed vertex has
-    a changed neighbour that caused it (the change chains back to the
-    updated edge).  Expansion therefore needs two gates:
+    ``old_offsets`` is the level half's id-indexed offset array (the
+    paper's ``Iα_δ``/``Iβ_δ`` offsets at that level) and ``seeds`` the
+    updated edge's live endpoints.  The closure exploits two structural
+    facts of a single edge update: a *non-endpoint* offset moves by at most
+    one, and every changed vertex has a changed neighbour that caused it
+    (the change chains back to the updated edge).  Expansion therefore
+    needs two gates:
 
     * a **trigger** — a candidate neighbour whose potential move crosses the
       vertex's old offset: for a non-endpoint that means equal old offsets;
@@ -112,169 +282,127 @@ def plan_level_region(
       on the relevant side of its own offset;
     * a **feasibility test**:
 
-      - **S⁻ (removal)** counts *pressure* dynamically: drops are forced one
-        by one (each needs an earlier actual drop to cause it), so a vertex
-        can drop only once more of its candidate supporters may cross its
-        old offset than it has slack — support above the peeling
-        requirement.  This keeps the closure to the genuinely threatened
-        vertices even on large equal-offset plateaus.
+      - **S⁻ (removal)** counts *pressure*: a vertex can drop only once more
+        of its candidate supporters may cross its old offset than it has
+        slack — support above the peeling requirement.  This keeps the
+        closure to the genuinely threatened vertices even on large
+        equal-offset plateaus.
       - **S⁺ (insertion)** must be optimistic, because rises can be mutual
         (a group may only be able to rise together): a vertex is a candidate
         as soon as every neighbour that *might* reach ``old + 1`` (those at
         or above its old offset, plus endpoints) covers the requirement at
         that target.  The region peel afterwards prunes the optimism.
 
-    Vertices outside the returned set provably keep their offsets, so
+    Both gates are monotone in the candidate set, so the closure is a least
+    fixed point and is expanded one whole frontier per round with numpy
+    gathers; the membership marks are the adjacency's generation-stamped
+    scratch, so the work is proportional to the closure and its edges.
+    Vertices outside the returned ids provably keep their offsets, so
     peeling the candidates with external support frozen at the old offsets
     is exact.  Returns ``None`` when the closure exceeds ``budget`` — the
     caller then re-peels the level in full.
     """
-    endpoint_set = set(seeds)
-    candidates: Set[Vertex] = set(endpoint_set)
-    ordered: List[Vertex] = list(candidates)
-    queue: deque[Vertex] = deque(ordered)
-    rejected: Set[Vertex] = set()
-    slack: Dict[Vertex, int] = {}
-    pressure: Dict[Vertex, int] = {}
-    while queue:
-        candidate = queue.popleft()
-        offset_c = old_offsets.get(candidate, 0)
-        is_endpoint = candidate in endpoint_set
-        other = candidate.side.other
-        for nbr_label in graph.neighbors(candidate.side, candidate.label):
-            vertex = Vertex(other, nbr_label)
-            if vertex in candidates or vertex in rejected:
-                continue
-            offset_x = old_offsets.get(vertex, 0)
-            if removal:
-                if offset_x < 1:
-                    continue  # already at the floor
-                crossed = offset_c >= offset_x if is_endpoint else offset_c == offset_x
-                if not crossed:
-                    continue
-                if vertex not in slack:
-                    need = threshold if vertex.side is primary_side else offset_x
-                    mirror = vertex.side.other
-                    lookup = old_offsets.get
-                    support = 0
-                    for m_label in graph.neighbors(vertex.side, vertex.label):
-                        if lookup(Vertex(mirror, m_label), 0) >= offset_x:
-                            support += 1
-                    slack[vertex] = support - need
-                    pressure[vertex] = 0
-                pressure[vertex] += 1
-                if pressure[vertex] <= slack[vertex]:
-                    continue
-            else:
-                helps = offset_c <= offset_x if is_endpoint else offset_c == offset_x
-                if not helps:
-                    continue
-                need = threshold if vertex.side is primary_side else offset_x + 1
-                mirror = vertex.side.other
-                lookup = old_offsets.get
-                support = 0
-                for m_label in graph.neighbors(vertex.side, vertex.label):
-                    m = Vertex(mirror, m_label)
-                    if m in endpoint_set or lookup(m, 0) >= offset_x:
-                        support += 1
-                        if support >= need:
-                            break
-                if support < need:
-                    rejected.add(vertex)
-                    continue
-            candidates.add(vertex)
-            ordered.append(vertex)
-            queue.append(vertex)
-            if budget is not None and len(candidates) > budget:
-                return None
-    return ordered
+    adjacency._generation += 1
+    generation = adjacency._generation
+    is_seed, inside = adjacency._seed, adjacency._inside
+    settled, slack = adjacency._settled, adjacency._slack
+    seeds = np.asarray(seeds, dtype=np.int64)
+    is_seed[seeds] = generation
+    inside[seeds] = generation
+    parts = [seeds]
+    size = seeds.shape[0]
+    frontier = seeds
+    while frontier.shape[0]:
+        owners, nbrs = adjacency.gather(frontier)
+        offset_c = old_offsets[frontier][owners]
+        offset_x = old_offsets[nbrs]
+        from_endpoint = (is_seed[frontier] == generation)[owners]
+        outside = inside[nbrs] != generation
+        if removal:
+            crossed = np.where(
+                from_endpoint, offset_c >= offset_x, offset_c == offset_x
+            )
+            pressed = nbrs[crossed & (offset_x >= 1) & outside]
+            # ``settled``: the vertex's slack is already computed.
+            fresh = np.unique(pressed[settled[pressed] != generation])
+            if fresh.shape[0]:
+                levels = old_offsets[fresh]
+                slack[fresh] = _support(adjacency, old_offsets, fresh, levels) - (
+                    _requirement(adjacency, fresh, primary_side, threshold, levels)
+                )
+                settled[fresh] = generation
+            # Every crossing candidate neighbour consumes one unit of slack.
+            np.subtract.at(slack, pressed, 1)
+            joined = np.unique(pressed[slack[pressed] < 0])
+        else:
+            helps = np.where(from_endpoint, offset_c <= offset_x, offset_c == offset_x)
+            # ``settled``: the vertex was already found infeasible.
+            tried = np.unique(nbrs[helps & outside & (settled[nbrs] != generation)])
+            levels = old_offsets[tried]
+            feasible = _support(
+                adjacency, old_offsets, tried, levels, generation
+            ) >= _requirement(adjacency, tried, primary_side, threshold, levels + 1)
+            settled[tried[~feasible]] = generation
+            joined = tried[feasible]
+        if not joined.shape[0]:
+            break
+        inside[joined] = generation
+        parts.append(joined)
+        size += joined.shape[0]
+        if budget is not None and size > budget:
+            return None
+        frontier = joined
+    return np.concatenate(parts)
 
 
 class _RegionPeel:
-    """One candidate region's peel context: adjacency split internal/external.
+    """One candidate region frozen into a private sub-CSR for the peel kernel.
 
-    The CSR variant freezes the region into a private sub-CSR (unweighted —
-    the peel never looks at weights) and runs the vectorised region kernel;
-    tiny regions stay on the python peel, whose constant factors win below
-    :data:`_REGION_CSR_THRESHOLD` vertices.
+    ``gids`` lists the region's global ids, upper vertices first; the
+    sub-CSR is unweighted (the peel never looks at weights), and every edge
+    leaving the region becomes one external support whose neighbour id is
+    kept, so :meth:`offsets` reads the frozen supports off an offset array
+    with one gather.  Neighbour ids are mapped to region-local ids by a
+    binary search over the sorted region, so the cost follows the region's
+    edges, not the size of the id space.
     """
 
-    def __init__(
-        self, graph: BipartiteGraph, vertices: Sequence[Vertex], backend: str
-    ) -> None:
-        region = set(vertices)
-        self._internal: Dict[Vertex, Tuple[Vertex, ...]] = {}
-        self._external: Dict[Vertex, Tuple[Vertex, ...]] = {}
-        for vertex in vertices:
-            other = vertex.side.other
-            internal: List[Vertex] = []
-            external: List[Vertex] = []
-            for nbr_label in graph.neighbors(vertex.side, vertex.label):
-                nbr = Vertex(other, nbr_label)
-                (internal if nbr in region else external).append(nbr)
-            self._internal[vertex] = tuple(internal)
-            if external:
-                self._external[vertex] = tuple(external)
-        self._csr = None
-        self._ext_arrays = None
-        if backend == "csr" and len(region) >= _REGION_CSR_THRESHOLD:
-            self._freeze_region()
-
-    def _freeze_region(self) -> None:
+    def __init__(self, adjacency: IdAdjacency, region: np.ndarray) -> None:
         from repro.graph.csr import CSRBipartiteGraph
 
-        uppers = [v for v in self._internal if v.side is Side.UPPER]
-        lowers = [v for v in self._internal if v.side is Side.LOWER]
-        upper_ids = {v: i for i, v in enumerate(uppers)}
-        lower_ids = {v: i for i, v in enumerate(lowers)}
-
-        def layer(
-            vertices: List[Vertex], other_ids: Dict[Vertex, int]
-        ) -> "Tuple[np.ndarray, np.ndarray, np.ndarray]":
-            indptr = np.zeros(len(vertices) + 1, dtype=np.int64)
-            indices: List[int] = []
-            for i, vertex in enumerate(vertices):
-                indices.extend(
-                    other_ids[nbr] for nbr in self._internal[vertex]
-                )
-                indptr[i + 1] = len(indices)
-            idx = np.array(indices, dtype=np.int64)
-            return indptr, idx, np.zeros(idx.shape[0], dtype=np.float64)
-
+        region = np.sort(region)
+        is_upper = adjacency.upper[region]
+        # Position in the sorted region → local id within its side.
+        local = np.where(is_upper, np.cumsum(is_upper), np.cumsum(~is_upper)) - 1
+        uppers, lowers = region[is_upper], region[~is_upper]
+        self.gids = np.concatenate((uppers, lowers))
+        last = region.shape[0] - 1
+        layers = []
+        self._external = []
+        for vertices in (uppers, lowers):
+            owners, nbrs = adjacency.gather(vertices)
+            position = np.minimum(region.searchsorted(nbrs), last)
+            internal = region[position] == nbrs
+            indptr = np.zeros(vertices.shape[0] + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(owners[internal], minlength=vertices.shape[0]),
+                out=indptr[1:],
+            )
+            indices = local[position[internal]]
+            layers.extend((indptr, indices, np.zeros(indices.shape[0], dtype=np.float64)))
+            self._external.append((owners[~internal], nbrs[~internal]))
         self._csr = CSRBipartiteGraph(
-            "region",
-            [v.label for v in uppers],
-            [v.label for v in lowers],
-            *layer(uppers, lower_ids),
-            *layer(lowers, upper_ids),
-        )
-        self._uppers, self._lowers = uppers, lowers
-        owner_u: List[int] = []
-        handles_u: List[Vertex] = []
-        owner_l: List[int] = []
-        handles_l: List[Vertex] = []
-        for vertex, external in self._external.items():
-            if vertex.side is Side.UPPER:
-                owner, handles, i = owner_u, handles_u, upper_ids[vertex]
-            else:
-                owner, handles, i = owner_l, handles_l, lower_ids[vertex]
-            owner.extend([i] * len(external))
-            handles.extend(external)
-        self._ext_arrays = (
-            np.array(owner_u, dtype=np.int64),
-            handles_u,
-            np.array(owner_l, dtype=np.int64),
-            handles_l,
+            "region", range(uppers.shape[0]), range(lowers.shape[0]), *layers
         )
 
     def offsets(
         self,
-        old_offsets: Dict[Vertex, int],
+        old_offsets: np.ndarray,
         primary_side: Side,
         threshold: int,
         shift: int = 0,
-    ) -> Dict[Vertex, int]:
-        """Region offsets at one level/half, external support frozen at old.
+    ) -> np.ndarray:
+        """Region offsets at one level/half, aligned with :attr:`gids`.
 
         Exact when the region is an S⁺/S⁻ candidate closure: every vertex
         outside it provably keeps its old offset, so an outside neighbour
@@ -284,31 +412,19 @@ class _RegionPeel:
         optimum for an insertion, turning the peel into an upper bound used
         by the endpoint pre-screen.
         """
-        if self._csr is not None:
-            from repro.decomposition.csr_kernels import (
-                csr_region_offsets_fixed_primary,
-            )
+        from repro.decomposition.csr_kernels import csr_region_offsets_fixed_primary
 
-            owner_u, handles_u, owner_l, handles_l = self._ext_arrays
-            off_u, off_l = csr_region_offsets_fixed_primary(
-                self._csr,
-                owner_u,
-                [max(old_offsets.get(h, 0) + shift, 0) for h in handles_u],
-                owner_l,
-                [max(old_offsets.get(h, 0) + shift, 0) for h in handles_l],
-                primary_side,
-                threshold,
-            )
-            result = dict(zip(self._uppers, off_u.tolist()))
-            result.update(zip(self._lowers, off_l.tolist()))
-            return result
-        external = {
-            vertex: [max(old_offsets.get(nbr, 0) + shift, 0) for nbr in ext]
-            for vertex, ext in self._external.items()
-        }
-        return region_offsets_fixed_primary(
-            self._internal, external, primary_side, threshold
+        (owner_u, ext_u), (owner_l, ext_l) = self._external
+        off_u, off_l = csr_region_offsets_fixed_primary(
+            self._csr,
+            owner_u,
+            np.maximum(old_offsets[ext_u] + shift, 0),
+            owner_l,
+            np.maximum(old_offsets[ext_l] + shift, 0),
+            primary_side,
+            threshold,
         )
+        return np.concatenate((off_u, off_l))
 
 
 # --------------------------------------------------------------------------- #
@@ -426,6 +542,10 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
     journal, so cold-start replay cost stays bounded under sustained churn.
     """
 
+    # A class-level default lets indexes pickled before the id adjacency
+    # existed intern it on their first update.
+    _ids: Optional[IdAdjacency] = None
+
     def __init__(
         self,
         graph: BipartiteGraph,
@@ -462,6 +582,10 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         # True while the array path's id space enumerates exactly the graph's
         # current vertices (required before a full snapshot export).
         self._path_matches_graph = True
+        # The graph over global ids and every level's id-indexed offsets,
+        # the planner's inputs; interned on the first update.
+        self._ids = None
+        self._level_offsets: Dict[Tuple[str, int], np.ndarray] = {}
         # observability
         self._levels_patched = 0
         self._levels_rebuilt = 0
@@ -547,6 +671,7 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
     ) -> None:
         """Insert (or re-weight) an edge and patch the affected index levels."""
         with Timer() as timer:
+            ids = self._ensure_ids()
             reweight = self._graph.has_edge(upper_label, lower_label)
             self._graph.add_edge(upper_label, lower_label, weight)
             self._journal.record_insert(upper_label, lower_label, weight)
@@ -562,6 +687,10 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
                 self._reweight_updates += 1
                 self._reweight_entries(upper_label, lower_label, weight)
             else:
+                ids.add_edge(
+                    self._intern(Vertex(Side.UPPER, upper_label)),
+                    self._intern(Vertex(Side.LOWER, lower_label)),
+                )
                 self._refresh_after_update(upper_label, lower_label)
         self._maintenance_seconds += timer.elapsed
         self._updates_applied += 1
@@ -569,7 +698,14 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
     def remove_edge(self, upper_label: Hashable, lower_label: Hashable) -> None:
         """Remove an edge and patch the affected index levels."""
         with Timer() as timer:
+            # Intern before the graph changes: the dict stores still name the
+            # vertices this removal is about to drop.
+            ids = self._ensure_ids()
             self._graph.remove_edge(upper_label, lower_label)
+            ids.remove_edge(
+                ids.ids[Vertex(Side.UPPER, upper_label)],
+                ids.ids[Vertex(Side.LOWER, lower_label)],
+            )
             self._graph.discard_isolated()
             self._journal.record_remove(upper_label, lower_label)
             self._refresh_after_update(upper_label, lower_label, can_grow=False)
@@ -600,6 +736,48 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
             self._array_path = None
             self._path_matches_graph = True
             self._arrays_invalidated += 1
+
+    def _ensure_ids(self) -> IdAdjacency:
+        """The graph over global ids and every level's offset array.
+
+        Interned once, from the graph and the dict stores, on the first
+        update; every later update keeps both current in place, whether or
+        not a query ever materialises the array path.
+        """
+        if self._ids is None:
+            graph = self._graph
+            self._ids = IdAdjacency.from_graph(
+                graph, list(graph.upper_labels()), list(graph.lower_labels())
+            )
+            self._level_offsets = {}
+            for tau in range(1, self._delta + 1):
+                self._level_offsets[("alpha", tau)] = self._offset_array(
+                    self._alpha_offsets[tau]
+                )
+                self._level_offsets[("beta", tau)] = self._offset_array(
+                    self._beta_offsets[tau]
+                )
+        return self._ids
+
+    def _offset_array(self, offsets: Dict[Vertex, int]) -> np.ndarray:
+        """One level half's dict offsets as an id-indexed array."""
+        ids = self._ids.ids
+        array = np.zeros(self._ids.capacity, dtype=np.int64)
+        array[np.fromiter((ids[v] for v in offsets), np.int64, len(offsets))] = (
+            np.fromiter(offsets.values(), np.int64, len(offsets))
+        )
+        return array
+
+    def _intern(self, vertex: Vertex) -> int:
+        """The global id of ``vertex``, growing the offset arrays with the ids."""
+        gid = self._ids.intern(vertex)
+        capacity = self._ids.capacity
+        for key, offsets in self._level_offsets.items():
+            if offsets.shape[0] < capacity:
+                self._level_offsets[key] = np.concatenate(
+                    (offsets, np.zeros(capacity - offsets.shape[0], dtype=np.int64))
+                )
+        return gid
 
     def export_level_arrays(self) -> "Dict[Tuple[str, int], LevelArrays]":
         """See :meth:`DegeneracyIndex.export_level_arrays`.
@@ -662,6 +840,11 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         for tau in self._alpha_offsets:
             for half in ("alpha", "beta"):
                 self._journal.mark_dirty((half, tau), vertices)
+        # A vanished vertex keeps its id, with offset 0 at every level.
+        ids = self._ids.ids
+        purged = [ids[v] for v in vertices if v in ids]
+        for offsets in self._level_offsets.values():
+            offsets[purged] = 0
         path = self._array_path
         if path is None:
             return
@@ -754,33 +937,32 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         closure that blows past the region budget sends its level down the
         full re-peel fallback.
         """
+        adjacency = self._ids
+        seeds = np.array([adjacency.ids[v] for v in endpoints], dtype=np.int64)
         frozen = None
         full_vertices: Optional[List[Vertex]] = None
-        mini = None if removal else _RegionPeel(self._graph, endpoints, "dict")
+        mini = None if removal else _RegionPeel(adjacency, seeds)
         for tau in levels:
             if tau > self._delta:  # pragma: no cover - defensive
                 break
-            sa_old = self._alpha_offsets.get(tau, {})
-            sb_old = self._beta_offsets.get(tau, {})
+            old_a = self._level_offsets[("alpha", tau)]
+            old_b = self._level_offsets[("beta", tau)]
             halves = []
             overflow = False
-            for primary, old in ((Side.UPPER, sa_old), (Side.LOWER, sb_old)):
-                if self._endpoints_hold(endpoints, old, primary, tau, removal, mini):
+            for primary, old in ((Side.UPPER, old_a), (Side.LOWER, old_b)):
+                if self._endpoints_hold(adjacency, seeds, old, primary, tau, removal, mini):
                     halves.append(None)
                     continue
                 region = plan_level_region(
-                    self._graph, old, primary, tau, endpoints, removal,
-                    self._region_budget,
+                    adjacency, old, primary, tau, seeds, removal, self._region_budget
                 )
                 if region is None:
                     overflow = True
                     break
-                new = _RegionPeel(self._graph, region, self._backend).offsets(
-                    old, primary, tau
-                )
-                self._region_vertices_total += len(region)
+                peel = _RegionPeel(adjacency, region)
+                self._region_vertices_total += region.shape[0]
                 self._regions_peeled += 1
-                halves.append((region, new))
+                halves.append((peel.gids, peel.offsets(old, primary, tau)))
             if overflow:
                 # The closure outgrew the budget: re-peel the whole graph at
                 # this level (other components diff to no-ops in the patch).
@@ -795,22 +977,28 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
                 self._apply_level_patch(tau, full_vertices, sa_new, sb_new, endpoints)
                 self._levels_rebuilt += 1
                 continue
-            merged: Set[Vertex] = set(endpoints)
-            for half in halves:
+            touched = np.unique(
+                np.concatenate([seeds] + [half[0] for half in halves if half])
+            )
+            new_a, new_b = old_a[touched], old_b[touched]
+            for new, half in ((new_a, halves[0]), (new_b, halves[1])):
                 if half is not None:
-                    merged.update(half[0])
-            touched = list(merged)
-            sa_new = halves[0][1] if halves[0] else {}
-            sb_new = halves[1][1] if halves[1] else {}
-            sa_new = {v: sa_new.get(v, sa_old.get(v, 0)) for v in touched}
-            sb_new = {v: sb_new.get(v, sb_old.get(v, 0)) for v in touched}
-            self._apply_level_patch(tau, touched, sa_new, sb_new, endpoints)
+                    new[np.searchsorted(touched, half[0])] = half[1]
+            handles = [adjacency.handles[gid] for gid in touched.tolist()]
+            self._apply_level_patch(
+                tau,
+                handles,
+                dict(zip(handles, new_a.tolist())),
+                dict(zip(handles, new_b.tolist())),
+                endpoints,
+            )
             self._levels_patched += 1
 
     def _endpoints_hold(
         self,
-        endpoints: Sequence[Vertex],
-        old: Dict[Vertex, int],
+        adjacency: IdAdjacency,
+        seeds: np.ndarray,
+        old: np.ndarray,
         primary_side: Side,
         tau: int,
         removal: bool,
@@ -826,25 +1014,12 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         old offset upper-bounds the endpoints' new offsets; if neither bound
         exceeds the old value, nothing rises.
         """
-        graph = self._graph
         if removal:
-            for vertex in endpoints:
-                offset = old.get(vertex, 0)
-                if offset < 1:
-                    continue
-                need = tau if vertex.side is primary_side else offset
-                other = vertex.side.other
-                support = 0
-                for nbr_label in graph.neighbors(vertex.side, vertex.label):
-                    if old.get(Vertex(other, nbr_label), 0) >= offset:
-                        support += 1
-                        if support >= need:
-                            break
-                if support < need:
-                    return False
-            return True
-        bounds = mini.offsets(old, primary_side, tau, shift=1)
-        return all(bounds[vertex] <= old.get(vertex, 0) for vertex in endpoints)
+            seeds = seeds[old[seeds] >= 1]
+            levels = old[seeds]
+            need = _requirement(adjacency, seeds, primary_side, tau, levels)
+            return bool(np.all(_support(adjacency, old, seeds, levels) >= need))
+        return bool(np.all(mini.offsets(old, primary_side, tau, shift=1) <= old[mini.gids]))
 
     def _full_level_offsets(
         self, tau: int, primary_side: Side, frozen: "Optional[CSRBipartiteGraph]"
@@ -899,6 +1074,10 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
                 sa[vertex] = new_a
                 sb[vertex] = new_b
         self._core_sizes[tau] = self._core_sizes.get(tau, 0) + core_delta
+        if changed:
+            gids = [self._ids.ids[vertex] for vertex in changed]
+            self._level_offsets[("alpha", tau)][gids] = [sa[v] for v in changed]
+            self._level_offsets[("beta", tau)][gids] = [sb[v] for v in changed]
 
         rebuild: Set[Vertex] = set(endpoints)
         for vertex in changed:
@@ -1031,21 +1210,19 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
             return
         for key in path.level_keys():
             arrays = path.level(key)
-            writable = arrays.entry_weight.flags.writeable
+            if not arrays.entry_weight.flags.writeable:  # pragma: no cover
+                path.drop_level(key)  # a read-only, snapshot-backed level
+                self._arrays_dropped += 1
+                continue
             for owner, other in ((gid_u, gid_v), (gid_v, gid_u)):
-                lo, hi = int(arrays.indptr[owner]), int(arrays.indptr[owner + 1])
-                for pos in range(lo, hi):
-                    if int(arrays.entry_vertex[pos]) == other:
-                        if not writable:  # pragma: no cover - snapshot-backed path
-                            path.drop_level(key)
-                            self._arrays_dropped += 1
-                        else:
-                            arrays.entry_weight[pos] = weight
-                        break
-                if not writable:
-                    break
-            else:
-                self._arrays_patched += 1
+                # One slice per endpoint, searched as a list: no numpy call
+                # per entry, and cheaper than a vectorised compare on the
+                # short slices most vertices have.
+                lo, hi = arrays.indptr[owner : owner + 2].tolist()
+                nbrs = arrays.entry_vertex[lo:hi].tolist()
+                if other in nbrs:
+                    arrays.entry_weight[lo + nbrs.index(other)] = weight
+            self._arrays_patched += 1
 
     # ------------------------------------------------------------------ #
     # incremental degeneracy
@@ -1095,6 +1272,8 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         self._alpha_offsets.pop(tau, None)
         self._beta_offsets.pop(tau, None)
         self._core_sizes.pop(tau, None)
+        self._level_offsets.pop(("alpha", tau), None)
+        self._level_offsets.pop(("beta", tau), None)
         self._levels_dropped += 1
         path = self._array_path
         if path is not None:
@@ -1108,6 +1287,8 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
             1 for offset in self._alpha_offsets[tau].values() if offset >= tau
         )
         self._levels_built += 1
+        self._level_offsets[("alpha", tau)] = self._offset_array(self._alpha_offsets[tau])
+        self._level_offsets[("beta", tau)] = self._offset_array(self._beta_offsets[tau])
         for half in ("alpha", "beta"):
             self._journal.mark_full((half, tau))
         # The fresh level's arrays are converted lazily from the new dicts.

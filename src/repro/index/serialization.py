@@ -31,6 +31,7 @@ __all__ = [
     "load_index",
     "index_stats_path",
     "index_metadata",
+    "backend_metadata",
     "SAVE_FORMATS",
     "PICKLE_VERSION",
     "SNAPSHOT_VERSION",
@@ -58,12 +59,14 @@ def index_metadata(index: CommunityIndex) -> Dict[str, str]:
     Records which engine built the index and which package version wrote the
     file, so operators can tell saved indexes apart without loading them.
     """
+    return backend_metadata(str(getattr(index, "backend", "dict")))
+
+
+def backend_metadata(backend: str) -> Dict[str, str]:
+    """:func:`index_metadata` for a base written without an index object."""
     from repro import __version__
 
-    return {
-        "backend": str(getattr(index, "backend", "dict")),
-        "repro_version": __version__,
-    }
+    return {"backend": backend, "repro_version": __version__}
 
 
 def save_index(

@@ -22,12 +22,12 @@ visited bitmap, which is what makes batched query streams cheap: the index is
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
 from typing import TYPE_CHECKING, Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex
+from repro.graph.csr import _graph_from_edge_arrays
 
 if TYPE_CHECKING:
     from repro.index.csr_build import LevelArrays
@@ -107,59 +107,6 @@ def _qualifying_counts(
             np.searchsorted(ascending, requirement, side="left")
         )
     return starts, counts
-
-
-def _grouped_adjacency(
-    owners: "np.ndarray",
-    owner_label_arr: "np.ndarray",
-    other_labels: "np.ndarray",
-    weights: "np.ndarray",
-) -> Dict[Hashable, Dict[Hashable, float]]:
-    """``{owner label: {other label: weight}}`` from contiguous owner runs.
-
-    ``owners`` must list each distinct owner in one contiguous run (BFS
-    expansion order for the upper direction, a sorted array for the mirror);
-    the inner dicts are then built by draining one shared pair iterator with
-    ``islice`` — no per-owner slice copies, no per-edge ``add_edge`` calls.
-    """
-    boundaries = np.flatnonzero(owners[1:] != owners[:-1]) + 1
-    run_starts = np.concatenate(([0], boundaries))
-    run_counts = np.diff(np.concatenate((run_starts, [owners.shape[0]])))
-    labels = owner_label_arr[owners[run_starts]].tolist()
-    pairs = zip(other_labels, weights)
-    return {
-        label: dict(islice(pairs, count))
-        for label, count in zip(labels, run_counts.tolist())
-    }
-
-
-def _graph_from_edge_arrays(
-    src: "np.ndarray",
-    dst: "np.ndarray",
-    weight: "np.ndarray",
-    upper_label_arr: "np.ndarray",
-    lower_label_arr: "np.ndarray",
-    name: str,
-) -> BipartiteGraph:
-    """Materialise a :class:`BipartiteGraph` from parallel edge-id arrays.
-
-    The upper direction needs no sort at all: every upper vertex is expanded
-    in exactly one BFS round, so its edges are already contiguous in ``src``.
-    The mirror direction pays a single stable sort by lower id.
-    """
-    upper_adj = _grouped_adjacency(
-        src, upper_label_arr, lower_label_arr[dst].tolist(), weight.tolist()
-    )
-    order = np.argsort(dst, kind="stable")
-    lower_adj = _grouped_adjacency(
-        dst[order],
-        lower_label_arr,
-        upper_label_arr[src[order]].tolist(),
-        weight[order].tolist(),
-    )
-    return BipartiteGraph._from_mirrored_adjacency(
-        upper_adj, lower_adj, num_edges=int(src.shape[0]), name=name
-    )
 
 
 def bfs_edges_over_arrays(

@@ -4,13 +4,16 @@ Maintained indexes append ``delta-*`` segments
 (:func:`~repro.serving.snapshot.save_snapshot_delta`), so cold-start cost
 grows linearly with churn — every open replays the whole chain.
 :func:`compact_snapshot` bounds that: it replays the chain once, re-freezes
-the result (rewriting the intern table, so ids of long-removed vertices are
-dropped), and writes a new base *generation* into the same directory.
+the replayed graph (rewriting the intern table, so ids of long-removed
+vertices are dropped), moves the replayed level arrays onto the new id space
+with vectorised gathers (:func:`~repro.index.csr_build.remap_level_arrays`)
+and writes them as a new base *generation* into the same directory — no index
+object and no dict adjacency is rebuilt on the way.
 
 The swap protocol keeps the directory loadable through any crash:
 
-1. the folded index is saved into a ``.compact-<gen>`` staging subdirectory
-   (itself manifest-last, via the ordinary snapshot writer);
+1. the folded base is written into a ``.compact-<gen>`` staging
+   subdirectory (itself manifest-last, via the ordinary base writer);
 2. its data and label files move into the live directory under
    generation-unique names (``arrays-<gen>.bin``, ``labels-<gen>.*``) that
    no current reader references;
@@ -38,21 +41,27 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+import numpy as np
+
+from repro.exceptions import IndexConsistencyError
 from repro.serving.snapshot import (
     DATA_NAME,
     MANIFEST_NAME,
     PathLike,
+    SnapshotIndex,
     _read_manifest,
     _write_manifest,
     delta_paths,
     load_snapshot,
-    save_snapshot,
     snapshot_version,
+    write_base,
 )
 
 if TYPE_CHECKING:
+    from repro.graph.csr import CSRBipartiteGraph
+    from repro.index.csr_build import LevelArrays
     from repro.index.maintenance import MaintenanceJournal
 
 __all__ = ["CompactionReport", "compact_snapshot"]
@@ -85,6 +94,45 @@ def _directory_bytes(directory: Path) -> int:
     )
 
 
+def _fold(
+    replayed: SnapshotIndex,
+) -> "Tuple[CSRBipartiteGraph, Dict[Tuple[str, int], LevelArrays], Dict]":
+    """The replayed chain as a base: graph CSR, remapped levels, index record."""
+    from repro.graph.csr import freeze
+    from repro.index.csr_build import remap_level_arrays, retained_lists
+
+    csr = freeze(replayed.graph)
+    global_ids = csr.global_id_map()
+    handles = replayed.global_handles()
+    new_ids = np.fromiter(
+        (global_ids.get(handle, -1) for handle in handles),
+        dtype=np.int64,
+        count=len(handles),
+    )
+    alive = np.flatnonzero(new_ids >= 0)
+    old_ids = np.full(csr.num_vertices, -1, dtype=np.int64)
+    old_ids[new_ids[alive]] = alive
+    if bool((old_ids < 0).any()):
+        raise IndexConsistencyError(
+            f"snapshot at {replayed.directory} replays to a vertex outside its "
+            "base id space"
+        )
+    levels = {
+        key: remap_level_arrays(arrays, old_ids, new_ids, csr.num_upper)
+        for key, arrays in replayed.level_arrays().items()
+    }
+    stats = replayed.stats()
+    record = stats.as_dict()
+    record["entries"] = sum(level.num_entries for level in levels.values())
+    record["adjacency_lists"] = sum(
+        int(np.count_nonzero(retained_lists(level, tau, half == "alpha")))
+        for (half, tau), level in levels.items()
+    )
+    record["delta"] = float(replayed.delta)
+    index_info = {"name": stats.name, "delta": replayed.delta, "stats": record}
+    return csr, levels, index_info
+
+
 def compact_snapshot(
     directory: PathLike, journal: "Optional[MaintenanceJournal]" = None
 ) -> CompactionReport:
@@ -101,7 +149,8 @@ def compact_snapshot(
     writer has no pending changes — i.e. compact right after a save — since
     folding only covers what the chain already recorded.
     """
-    from repro.index.maintenance import DynamicDegeneracyIndex
+    from repro.graph.csr import resolve_backend
+    from repro.index.serialization import backend_metadata
 
     directory = Path(directory)
     started = time.perf_counter()
@@ -140,12 +189,20 @@ def compact_snapshot(
     old_data = str(manifest.get("data", {}).get("file", DATA_NAME))
     old_labels = str(manifest.get("labels", {}).get("file", ""))
 
-    # Replay the chain once and re-freeze: the folded index's intern table
+    # Replay the chain once and re-freeze: the folded base's intern table
     # contains exactly the surviving vertices.
-    folded = DynamicDegeneracyIndex.from_snapshot(load_snapshot(directory))
+    replayed = load_snapshot(directory)
+    csr, levels, index_info = _fold(replayed)
     generation = uuid.uuid4().hex[:12]
     staging = directory / f"{_STAGING_PREFIX}{generation}"
-    save_snapshot(folded, staging)
+    staging.mkdir()
+    snapshot_id = write_base(
+        staging,
+        csr,
+        levels,
+        index_info,
+        backend_metadata(resolve_backend("auto", replayed.graph)),
+    )
 
     staged_manifest = json.loads(
         (staging / MANIFEST_NAME).read_text(encoding="utf-8")
@@ -176,17 +233,15 @@ def compact_snapshot(
                 path.unlink(missing_ok=True)
     shutil.rmtree(staging, ignore_errors=True)
 
-    snapshot_id = str(staged_manifest.get("snapshot_id", ""))
     if journal is not None:
-        staged = folded.journal  # bound to the staging dir by save_snapshot
         journal.bind_base(
             str(directory),
             snapshot_id,
             0,
-            staged.base_delta,
-            staged.base_num_upper,
-            staged.base_num_vertices,
-            staged.base_global_ids,
+            replayed.delta,
+            csr.num_upper,
+            csr.num_vertices,
+            csr.global_id_map(),
         )
     return CompactionReport(
         directory=directory,

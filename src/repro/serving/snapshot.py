@@ -82,6 +82,7 @@ __all__ = [
     "SnapshotIndex",
     "save_snapshot",
     "save_snapshot_delta",
+    "write_base",
     "load_snapshot",
     "load_label_arrays",
     "snapshot_version",
@@ -202,10 +203,8 @@ def save_snapshot(index: CommunityIndex, directory: PathLike) -> Path:
             f"{type(index).__name__} does not support the snapshot format; "
             "use save_index(..., format='pickle')"
         )
-    import uuid
-
     from repro.graph.csr import freeze
-    from repro.index.serialization import SNAPSHOT_VERSION, _MAGIC, index_metadata
+    from repro.index.serialization import index_metadata
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -221,9 +220,47 @@ def save_snapshot(index: CommunityIndex, directory: PathLike) -> Path:
         for stale in directory.glob(pattern):
             stale.unlink(missing_ok=True)
 
-    graph = index.graph
-    csr = freeze(graph)
+    csr = freeze(index.graph)
     levels = export()
+    stats = index.stats()
+    delta = int(getattr(index, "delta", 0))
+    snapshot_id = write_base(
+        directory,
+        csr,
+        levels,
+        {"name": stats.name, "delta": delta, "stats": stats.as_dict()},
+        index_metadata(index),
+    )
+    journal = getattr(index, "journal", None)
+    if journal is not None:
+        journal.bind_base(
+            str(directory),
+            snapshot_id,
+            0,
+            delta,
+            csr.num_upper,
+            csr.num_vertices,
+            csr.global_id_map(),
+        )
+    return directory
+
+
+def write_base(
+    directory: Path,
+    csr: "CSRBipartiteGraph",
+    levels: "Dict[Tuple[str, int], LevelArrays]",
+    index_info: Dict,
+    metadata: Dict[str, str],
+) -> str:
+    """Write one full base into ``directory``; return its new snapshot id.
+
+    ``levels`` must be in ``csr``'s global id space.  Segments and the label
+    table go first and the manifest last, so a crash never leaves a manifest
+    naming missing data.
+    """
+    import uuid
+
+    from repro.index.serialization import SNAPSHOT_VERSION, _MAGIC
 
     def arrays() -> Iterator[Tuple[str, "np.ndarray"]]:
         for field in _GRAPH_FIELDS:
@@ -238,20 +275,15 @@ def save_snapshot(index: CommunityIndex, directory: PathLike) -> Path:
     labels_file = _write_labels(directory, labels)
 
     snapshot_id = uuid.uuid4().hex
-    stats = index.stats()
     manifest = {
         "magic": _MAGIC,
         "version": SNAPSHOT_VERSION,
         "format": "snapshot",
         "snapshot_id": snapshot_id,
-        **index_metadata(index),
-        "index": {
-            "name": stats.name,
-            "delta": int(getattr(index, "delta", 0)),
-            "stats": stats.as_dict(),
-        },
+        **metadata,
+        "index": index_info,
         "graph": {
-            "name": graph.name,
+            "name": csr.name,
             "num_upper": csr.num_upper,
             "num_lower": csr.num_lower,
             "num_edges": csr.num_edges,
@@ -261,18 +293,7 @@ def save_snapshot(index: CommunityIndex, directory: PathLike) -> Path:
         "segments": segments,
     }
     _write_manifest(directory, MANIFEST_NAME, manifest)
-    journal = getattr(index, "journal", None)
-    if journal is not None:
-        journal.bind_base(
-            str(directory),
-            snapshot_id,
-            0,
-            int(getattr(index, "delta", 0)),
-            csr.num_upper,
-            csr.num_vertices,
-            csr.global_id_map(),
-        )
-    return directory
+    return snapshot_id
 
 
 def save_snapshot_delta(index: "DynamicDegeneracyIndex", directory: PathLike) -> Path:
@@ -591,9 +612,10 @@ def load_snapshot(directory: PathLike) -> "SnapshotIndex":
     the mapping.  Delta segments appended by
     ``save_index(..., format="snapshot")`` on a maintained index are replayed
     in sequence: whole replacement levels stay zero-copy views into their
-    delta's mapping, patched levels are spliced into fresh in-memory arrays,
-    and the recorded graph operations are kept for lazy replay when the
-    materialised graph is first asked for.  Raises
+    delta's mapping; each patched level collects its patches across the
+    chain and is spliced once, into fresh in-memory arrays, keeping the last
+    writer of every vertex; the recorded graph operations are kept for lazy
+    replay when the materialised graph is first asked for.  Raises
     :class:`IndexConsistencyError` for a missing or corrupted manifest,
     truncated data file, absent segments, or a broken delta chain — always
     naming the path.
@@ -604,7 +626,7 @@ def load_snapshot(directory: PathLike) -> "SnapshotIndex":
     segment = _segment_reader(directory, manifest, DATA_NAME)
     graph_arrays = tuple(segment(f"graph/{field}") for field in _GRAPH_FIELDS)
 
-    from repro.index.csr_build import LevelArrays, patch_level_arrays
+    from repro.index.csr_build import LevelArrays, merge_level_patches, patch_level_arrays
 
     num_upper = len(labels["upper"])
     delta = int(manifest.get("index", {}).get("delta", 0))
@@ -617,6 +639,10 @@ def load_snapshot(directory: PathLike) -> "SnapshotIndex":
                 **{field: segment(f"{prefix}/{field}") for field in _LEVEL_FIELDS},
             )
 
+    # Patches are collected per level across the whole chain and spliced
+    # once at the end; a full replacement resets its level's pending
+    # patches and a δ shrink drops the vanished levels' ones.
+    pending: Dict[Tuple[str, int], List[Tuple]] = {}
     pending_ops: List[Tuple] = []
     removed: set = set()
     version = 0
@@ -632,6 +658,7 @@ def load_snapshot(directory: PathLike) -> "SnapshotIndex":
                 num_upper=num_upper,
                 **{field: read(f"{prefix}/{field}") for field in _LEVEL_FIELDS},
             )
+            pending.pop((half, tau), None)
         for spec in delta_manifest.get("patched_levels", ()):
             half, tau = _parse_level_key(directory, spec)
             key = (half, tau)
@@ -641,21 +668,23 @@ def load_snapshot(directory: PathLike) -> "SnapshotIndex":
                     f"delta {path.name} patches level {spec} absent from the base",
                 )
             prefix = f"patch/{half}/{tau}"
-            gids = read(f"{prefix}/gids")
-            levels[key] = patch_level_arrays(
-                levels[key],
-                gids,
-                read(f"{prefix}/counts"),
-                read(f"{prefix}/entry_vertex"),
-                read(f"{prefix}/entry_weight"),
-                read(f"{prefix}/entry_offset"),
-                gids,
-                read(f"{prefix}/offset_values"),
-                allow_in_place=False,
+            pending.setdefault(key, []).append(
+                tuple(
+                    read(f"{prefix}/{field}")
+                    for field in (
+                        "gids",
+                        "counts",
+                        "entry_vertex",
+                        "entry_weight",
+                        "entry_offset",
+                        "offset_values",
+                    )
+                )
             )
         delta = int(delta_manifest.get("index", {}).get("delta", delta))
         for key in [k for k in levels if k[1] > delta]:
             del levels[key]
+            pending.pop(key, None)
         ops = read("ops")
         for op in ops:
             if op[0] == "insert":
@@ -665,6 +694,12 @@ def load_snapshot(directory: PathLike) -> "SnapshotIndex":
         pending_ops.extend(ops)
         graph_info = delta_manifest.get("graph", graph_info)
         index_info = delta_manifest.get("index", index_info)
+    for key, patches in pending.items():
+        gids, counts, ev, ew, eo, values = merge_level_patches(patches)
+        levels[key] = patch_level_arrays(
+            levels[key], gids, counts, ev, ew, eo, gids, values,
+            allow_in_place=False,
+        )
 
     if index_info is not None:
         merged = dict(manifest)

@@ -7,7 +7,8 @@ functions and the library constitutes a meaningful correctness check.
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from collections import deque
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex
 from repro.graph.views import connected_component, weight_threshold_subgraph
@@ -70,3 +71,78 @@ def graph_edge_weights(graph: BipartiteGraph) -> Set[Tuple[object, object, float
 def assert_same_graph(actual: BipartiteGraph, expected: BipartiteGraph) -> None:
     """Assert two graphs have identical edge sets (with weights)."""
     assert graph_edge_weights(actual) == graph_edge_weights(expected)
+
+
+def plan_level_region_reference(
+    graph: BipartiteGraph,
+    old_offsets: Dict[Vertex, int],
+    primary_side: Side,
+    threshold: int,
+    seeds: Sequence[Vertex],
+    removal: bool,
+    budget: Optional[int] = None,
+) -> Optional[List[Vertex]]:
+    """The S⁺/S⁻ candidate closure, one :class:`Vertex` at a time.
+
+    The dict-keyed planner the maintenance engine ran before it moved to
+    global ids, kept as the oracle of
+    :func:`repro.index.maintenance.plan_level_region`: a sequential
+    breadth-first expansion with the same trigger and feasibility gates
+    (see that function's docstring), returning ``None`` as soon as the
+    closure exceeds ``budget``.
+    """
+    endpoint_set = set(seeds)
+    candidates: Set[Vertex] = set(endpoint_set)
+    ordered: List[Vertex] = list(candidates)
+    queue: deque = deque(ordered)
+    rejected: Set[Vertex] = set()
+    slack: Dict[Vertex, int] = {}
+    pressure: Dict[Vertex, int] = {}
+    while queue:
+        candidate = queue.popleft()
+        offset_c = old_offsets.get(candidate, 0)
+        is_endpoint = candidate in endpoint_set
+        other = candidate.side.other
+        for nbr_label in graph.neighbors(candidate.side, candidate.label):
+            vertex = Vertex(other, nbr_label)
+            if vertex in candidates or vertex in rejected:
+                continue
+            offset_x = old_offsets.get(vertex, 0)
+            mirror = vertex.side.other
+            if removal:
+                if offset_x < 1:
+                    continue  # already at the floor
+                crossed = offset_c >= offset_x if is_endpoint else offset_c == offset_x
+                if not crossed:
+                    continue
+                if vertex not in slack:
+                    need = threshold if vertex.side is primary_side else offset_x
+                    support = sum(
+                        1
+                        for m_label in graph.neighbors(vertex.side, vertex.label)
+                        if old_offsets.get(Vertex(mirror, m_label), 0) >= offset_x
+                    )
+                    slack[vertex] = support - need
+                    pressure[vertex] = 0
+                pressure[vertex] += 1
+                if pressure[vertex] <= slack[vertex]:
+                    continue
+            else:
+                helps = offset_c <= offset_x if is_endpoint else offset_c == offset_x
+                if not helps:
+                    continue
+                need = threshold if vertex.side is primary_side else offset_x + 1
+                support = 0
+                for m_label in graph.neighbors(vertex.side, vertex.label):
+                    m = Vertex(mirror, m_label)
+                    if m in endpoint_set or old_offsets.get(m, 0) >= offset_x:
+                        support += 1
+                if support < need:
+                    rejected.add(vertex)
+                    continue
+            candidates.add(vertex)
+            ordered.append(vertex)
+            queue.append(vertex)
+            if budget is not None and len(candidates) > budget:
+                return None
+    return ordered

@@ -87,6 +87,33 @@ class TestThaw:
         csr = CSRBipartiteGraph.freeze(tiny_graph)
         assert csr.thaw().same_structure(tiny_graph)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_adjacency_order_matches_edge_by_edge_construction(self, seed):
+        """Vertex and neighbour order equal adding every vertex in id order
+        and then each upper slice's edges in CSR order (freeze and the index
+        builds read that order)."""
+        graph = random_bipartite(30, 25, 120, seed=seed)
+        graph.add_vertex(Side.LOWER, "isolated")
+        csr = freeze(graph)
+        expected = BipartiteGraph(name=csr.name)
+        for label in csr.upper_labels:
+            expected.add_vertex(Side.UPPER, label)
+        for label in csr.lower_labels:
+            expected.add_vertex(Side.LOWER, label)
+        for i, label in enumerate(csr.upper_labels):
+            for pos in range(int(csr.u_indptr[i]), int(csr.u_indptr[i + 1])):
+                expected.add_edge(
+                    label, csr.lower_labels[int(csr.u_indices[pos])], float(csr.u_weights[pos])
+                )
+        thawed = csr.thaw()
+        assert thawed.num_edges == expected.num_edges
+        for side in (Side.UPPER, Side.LOWER):
+            assert list(thawed.labels(side)) == list(expected.labels(side))
+            for label in expected.labels(side):
+                assert list(thawed.neighbors(side, label).items()) == list(
+                    expected.neighbors(side, label).items()
+                )
+
 
 class TestIdTranslation:
     def test_vertex_id_and_handles(self, tiny_graph):
