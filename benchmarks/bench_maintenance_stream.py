@@ -3,8 +3,8 @@
 An evolving deployment interleaves edge updates with query traffic.  Before
 this engine, every update rebuilt the affected structures and discarded the
 array query path, so the next batch paid a full conversion; the maintenance
-engine instead patches the S⁺/S⁻ candidate regions into the dict stores *and*
-the materialised :class:`LevelArrays` in place.  This benchmark replays a
+engine instead patches the S⁺/S⁻ candidate regions into its
+:class:`LevelArrays`, the only per-level store it keeps.  This benchmark replays a
 mixed churn stream (inserts, removals and reweights over the existing vertex
 universe) against both strategies, running the same probe batch after every
 update so the arrays stay on the serving path:
@@ -17,8 +17,8 @@ update so the arrays stay on the serving path:
   extrapolated (rebuilding after each of the 1k updates would take hours).
 
 Correctness is asserted, not assumed: after *every* update the maintained
-index's array-path batch answers are compared element-wise against its own
-sequential dict-path answers, and at every ``REPRO_BENCH_MAINT_VERIFY_EVERY``
+index's batch answers are compared element-wise against its own
+per-query answers, and at every ``REPRO_BENCH_MAINT_VERIFY_EVERY``
 updates (and at the end) against a from-scratch rebuild of the current graph.
 The gate: maintained throughput must beat invalidate-and-rebuild by
 ``REPRO_BENCH_MIN_MAINT_SPEEDUP`` (default 5×).
@@ -172,15 +172,15 @@ def run_maintained(stream: List[Update]) -> Dict[str, float]:
         batched = index.batch_community(queries, on_empty="none")
         maintained_seconds += time.perf_counter() - start
 
-        # Every update: the patched arrays must agree with the (also patched)
-        # dict stores, query by query.
+        # Every update: the memoised batch must agree with per-query answers
+        # over the same patched arrays.
         sequential = []
         for query, alpha, beta in queries:
             try:
                 sequential.append(index.community(query, alpha, beta))
             except Exception:  # noqa: BLE001 - outside-the-core probes
                 sequential.append(None)
-        _assert_same_answers(batched, sequential, f"update {step} (arrays vs dict path)")
+        _assert_same_answers(batched, sequential, f"update {step} (batch vs per-query)")
 
         apply_to_graph(verification_graph, update)
         if step % VERIFY_EVERY == 0 or step == len(stream):
@@ -203,8 +203,6 @@ def run_maintained(stream: List[Update]) -> Dict[str, float]:
             "levels_built",
             "region_mean_vertices",
             "reweight_updates",
-            "arrays_patched",
-            "arrays_patch_hit_rate",
         )},
     }
 
@@ -246,8 +244,6 @@ def format_report(maintained: Dict[str, float], baseline: Dict[str, float]) -> s
         f"{maintained['levels_rebuilt']:.0f} / {maintained['levels_built']:.0f}; "
         f"mean candidate region {maintained['region_mean_vertices']:.0f} vertices; "
         f"reweights {maintained['reweight_updates']:.0f}",
-        f"arrays patched {maintained['arrays_patched']:.0f} "
-        f"(hit rate {maintained['arrays_patch_hit_rate']:.2f})",
     ]
     return "\n".join(lines)
 

@@ -44,25 +44,21 @@ TWIN_REGISTRY = (
         signature=False,
     ),
     TwinPair(
-        kernel="repro.index.csr_build:patch_level_arrays",
-        twin="repro.index.maintenance:DynamicDegeneracyIndex._apply_level_patch",
-        signature=False,
-    ),
-    TwinPair(
         kernel="repro.index.parallel_build:_parallel_payloads",
         twin="repro.index.parallel_build:_sequential_payloads",
         kernel_only=("jobs",),
     ),
 )
 
-#: Entry points of the zero-materialisation contract: the array/snapshot
-#: query path and the serving worker shard loop.  Nothing statically
-#: reachable from these may construct a dict graph or thaw a CSR one.
+#: Entry points of the zero-materialisation contract: the array query path,
+#: the batch verbs the snapshot and maintained indexes share, and the
+#: serving worker shard loop.  Nothing statically reachable from these may
+#: construct a dict graph or thaw a CSR one.
 MATERIALISATION_ENTRY_POINTS = (
     "repro.index.traversal:ArrayQueryPath.community_edges",
     "repro.index.traversal:ArrayQueryPath.significant_edges",
-    "repro.serving.snapshot:SnapshotIndex.batch_community_edges",
-    "repro.serving.snapshot:SnapshotIndex.batch_significant_edges",
+    "repro.index.traversal:ArrayLevelIndex.batch_community_edges",
+    "repro.index.traversal:ArrayLevelIndex.batch_significant_edges",
     "repro.index.degeneracy_index:DegeneracyIndex.batch_significant_edges",
     "repro.serving.worker:worker_main",
 )

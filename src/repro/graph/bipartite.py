@@ -28,7 +28,12 @@ from typing import (
     Tuple,
 )
 
-from repro.exceptions import EdgeNotFoundError, GraphError, VertexNotFoundError
+from repro.exceptions import (
+    EdgeNotFoundError,
+    GraphError,
+    InvalidParameterError,
+    VertexNotFoundError,
+)
 
 __all__ = ["Side", "Vertex", "BipartiteGraph", "upper", "lower"]
 
@@ -178,7 +183,15 @@ class BipartiteGraph:
         return Vertex(side, label)
 
     def add_edge(self, upper_label: Hashable, lower_label: Hashable, weight: float = 1.0) -> None:
-        """Add (or re-weight) the edge between ``upper_label`` and ``lower_label``."""
+        """Add (or re-weight) the edge between ``upper_label`` and ``lower_label``.
+
+        A NaN weight is rejected: it compares false with every threshold, so
+        significant search could never order it.
+        """
+        if weight != weight:
+            raise InvalidParameterError(
+                f"edge ({upper_label!r}, {lower_label!r}) has a NaN weight"
+            )
         upper_nbrs = self._adj[Side.UPPER].setdefault(upper_label, {})
         lower_nbrs = self._adj[Side.LOWER].setdefault(lower_label, {})
         if lower_label not in upper_nbrs:

@@ -174,20 +174,30 @@ class CSRBipartiteGraph:
     def thaw(self) -> BipartiteGraph:
         """Reconstruct an equivalent mutable :class:`BipartiteGraph`.
 
-        The result is the graph that adding every vertex in id order and
-        then every upper slice's edges in CSR order would build.
+        The inverse of :meth:`freeze`: vertices come back in id order and
+        every vertex lists its neighbours in its CSR slice order, on both
+        layers — so a reopened snapshot's graph has the writer's orders, and
+        an index built from it ties its entries exactly as the writer did.
         """
-        sources = np.repeat(
-            np.arange(self.num_upper, dtype=np.int64), np.diff(self.u_indptr)
-        )
-        return _graph_from_edge_arrays(
-            sources,
-            self.u_indices,
-            self.u_weights,
-            np.fromiter(self.upper_labels, dtype=object, count=self.num_upper),
-            np.fromiter(self.lower_labels, dtype=object, count=self.num_lower),
-            self.name,
-            keep_isolated=True,
+        upper_labels = list(self.upper_labels)
+        lower_labels = list(self.lower_labels)
+        upper_arr = np.fromiter(upper_labels, dtype=object, count=self.num_upper)
+        lower_arr = np.fromiter(lower_labels, dtype=object, count=self.num_lower)
+        return BipartiteGraph._from_mirrored_adjacency(
+            _grouped_adjacency(
+                upper_labels,
+                np.diff(self.u_indptr).tolist(),
+                lower_arr[self.u_indices].tolist(),
+                self.u_weights.tolist(),
+            ),
+            _grouped_adjacency(
+                lower_labels,
+                np.diff(self.l_indptr).tolist(),
+                upper_arr[self.l_indices].tolist(),
+                self.l_weights.tolist(),
+            ),
+            num_edges=self.num_edges,
+            name=self.name,
         )
 
     # ------------------------------------------------------------------ #
@@ -380,27 +390,18 @@ def _graph_from_edge_arrays(
     upper_label_arr: np.ndarray,
     lower_label_arr: np.ndarray,
     name: str,
-    keep_isolated: bool = False,
 ) -> BipartiteGraph:
     """Materialise a :class:`BipartiteGraph` from parallel edge-id arrays.
 
     ``src`` must list each upper id in one contiguous run (BFS expansion
     order, or CSR order), so the upper direction needs no sort; the mirror
     pays a single stable sort by lower id, so every lower vertex lists its
-    neighbours in edge order.  By default only vertices with an edge
-    appear: uppers in run order, lowers by ascending id.  ``keep_isolated``
-    (with ``src`` ascending) keeps every label of both label arrays, in id
-    order, edgeless ones included.
+    neighbours in edge order.  Only vertices with an edge appear: uppers in
+    run order, lowers by ascending id.
     """
     order = np.argsort(dst, kind="stable")
-    if keep_isolated:
-        upper_owners = upper_label_arr.tolist()
-        upper_counts = np.bincount(src, minlength=len(upper_owners)).tolist()
-        lower_owners = lower_label_arr.tolist()
-        lower_counts = np.bincount(dst, minlength=len(lower_owners)).tolist()
-    else:
-        upper_owners, upper_counts = _owner_runs(src, upper_label_arr)
-        lower_owners, lower_counts = _owner_runs(dst[order], lower_label_arr)
+    upper_owners, upper_counts = _owner_runs(src, upper_label_arr)
+    lower_owners, lower_counts = _owner_runs(dst[order], lower_label_arr)
     upper_adj = _grouped_adjacency(
         upper_owners, upper_counts, lower_label_arr[dst].tolist(), weight.tolist()
     )

@@ -169,15 +169,6 @@ class CommunityIndex(abc.ABC):
             self._array_path = path
         return path
 
-    def _invalidate_query_arrays(self) -> None:
-        """Drop the array query path after the index structure changed.
-
-        Called by :class:`~repro.index.maintenance.DynamicDegeneracyIndex`
-        whenever an edge update patches the dict lists in place; the path is
-        rebuilt lazily from the patched lists on the next batch query.
-        """
-        self._array_path = None
-
     @abc.abstractmethod
     def stats(self) -> IndexStats:
         """Return size / build-time statistics for reporting."""

@@ -15,8 +15,10 @@ module builds a whole level at once from a frozen CSR snapshot:
 Because ``np.lexsort`` is stable and the CSR neighbour order preserves the
 source graph's adjacency order, ties inside a list come out in exactly the
 order the dict backend produces, so both backends build *identical*
-structures — which keeps :class:`~repro.index.maintenance.DynamicDegeneracyIndex`
-(which patches these dicts in place) backend-agnostic.
+structures.  :class:`~repro.index.maintenance.DynamicDegeneracyIndex` keeps
+only the flat :class:`LevelArrays` below and rebuilds the slices an update
+touches with the same filter and stable sort over its own neighbour ids, so
+a maintained level equals a fresh build of the same graph.
 
 The same sorted edge arrays also feed :class:`LevelArrays`, the flat CSR-like
 representation of one index level consumed by the array-backed query path
@@ -24,8 +26,8 @@ representation of one index level consumed by the array-backed query path
 ``entry_vertex`` / ``entry_weight`` / ``entry_offset`` arrays in a *global*
 vertex id space (upper vertex ``i`` ↦ ``i``, lower vertex ``j`` ↦
 ``num_upper + j``).  :func:`level_arrays_from_dicts` derives the identical
-structure from the dict adjacency lists, so dict-built (and incrementally
-maintained) indexes can serve the array query path too.
+structure from the dict adjacency lists, so dict-built indexes can serve the
+array query path too.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ __all__ = [
     "level_side_entries",
     "build_level_arrays",
     "level_arrays_from_dicts",
-    "level_dicts_from_arrays",
     "retained_lists",
-    "entries_to_patch_arrays",
+    "level_sizes",
+    "gather_slices",
     "patch_level_arrays",
     "merge_level_patches",
     "remap_level_arrays",
@@ -276,64 +278,14 @@ def retained_lists(arrays: LevelArrays, tau: int, alpha_half: bool) -> np.ndarra
     return kept
 
 
-def level_dicts_from_arrays(
-    arrays: LevelArrays,
-    handles: "Sequence[Vertex]",
-    tau: int,
-    alpha_half: bool,
-) -> Tuple[Dict[Vertex, int], AdjacencyLists]:
-    """Rebuild one level's dict structures from its flat :class:`LevelArrays`.
-
-    The inverse of :func:`level_arrays_from_dicts`, used to reopen a snapshot
-    as a *mutable* index (``DynamicDegeneracyIndex.from_snapshot``) without a
-    from-scratch peel.  ``handles`` maps global ids to :class:`Vertex` handles
-    (``None`` marks a dead id left behind by maintenance removals).  Lists
-    are kept as :func:`retained_lists` says.
-    """
-    offsets: Dict[Vertex, int] = {}
-    lists: AdjacencyLists = {}
-    indptr = arrays.indptr.tolist()
-    entry_vertex = arrays.entry_vertex.tolist()
-    entry_weight = arrays.entry_weight.tolist()
-    entry_offset = arrays.entry_offset.tolist()
-    offset_values = arrays.offsets.tolist()
-    kept = retained_lists(arrays, tau, alpha_half).tolist()
-    for gid, handle in enumerate(handles):
-        if handle is None:
-            continue
-        offsets[handle] = offset_values[gid]
-        if kept[gid]:
-            lists[handle] = [
-                (handles[entry_vertex[pos]], entry_weight[pos], entry_offset[pos])
-                for pos in range(indptr[gid], indptr[gid + 1])
-            ]
-    return offsets, lists
-
-
-def entries_to_patch_arrays(
-    updates: Dict[int, list],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten ``{gid: [(nbr_gid, weight, offset), ...]}`` into patch arrays.
-
-    Returns ``(gids, counts, entry_vertex, entry_weight, entry_offset)`` with
-    ``gids`` ascending and the entry arrays concatenated in that order — the
-    wire form shared by in-memory :func:`patch_level_arrays` calls and the
-    snapshot delta segments.
-    """
-    gids = np.array(sorted(updates), dtype=np.int64)
-    counts = np.array([len(updates[int(g)]) for g in gids], dtype=np.int64)
-    total = int(counts.sum())
-    entry_vertex = np.empty(total, dtype=np.int64)
-    entry_weight = np.empty(total, dtype=np.float64)
-    entry_offset = np.empty(total, dtype=np.int64)
-    pos = 0
-    for gid in gids.tolist():
-        for nbr, weight, offset in updates[gid]:
-            entry_vertex[pos] = nbr
-            entry_weight[pos] = weight
-            entry_offset[pos] = offset
-            pos += 1
-    return gids, counts, entry_vertex, entry_weight, entry_offset
+def level_sizes(levels: Mapping[Tuple[str, int], LevelArrays]) -> Tuple[int, int]:
+    """``(entries, adjacency lists)`` of an index stored as level arrays."""
+    entries = sum(level.num_entries for level in levels.values())
+    lists = sum(
+        int(np.count_nonzero(retained_lists(level, tau, half == "alpha")))
+        for (half, tau), level in levels.items()
+    )
+    return entries, lists
 
 
 def _slice_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -341,6 +293,24 @@ def _slice_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     total = int(counts.sum())
     heads = np.cumsum(counts) - counts
     return np.repeat(starts - heads, counts) + np.arange(total, dtype=np.int64)
+
+
+def gather_slices(
+    arrays: LevelArrays, gids: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(counts, entry_vertex, entry_weight, entry_offset)`` of ``gids``' slices.
+
+    The slices come out concatenated in ``gids`` order — the patch form
+    :func:`patch_level_arrays` consumes.
+    """
+    counts = arrays.indptr[gids + 1] - arrays.indptr[gids]
+    positions = _slice_positions(arrays.indptr[gids], counts)
+    return (
+        counts,
+        arrays.entry_vertex[positions],
+        np.asarray(arrays.entry_weight[positions], dtype=np.float64),
+        np.asarray(arrays.entry_offset[positions], dtype=np.int64),
+    )
 
 
 def patch_level_arrays(
@@ -356,8 +326,9 @@ def patch_level_arrays(
 ) -> LevelArrays:
     """Splice patched per-vertex entry slices into a :class:`LevelArrays`.
 
-    ``gids`` (ascending, unique) / ``counts`` / entry arrays come from
-    :func:`entries_to_patch_arrays`; ``offset_gids``/``offset_values`` assign
+    ``gids`` (ascending, unique) name the patched vertices, ``counts`` their
+    new slice lengths and the entry arrays their concatenated slices (the
+    form :func:`gather_slices` returns); ``offset_gids``/``offset_values`` assign
     the patched per-vertex offsets (zeros included, so vanished vertices are
     wiped).  When every patched vertex keeps its entry count and the
     underlying buffers are writable, the patch is scattered in place (the
@@ -477,16 +448,15 @@ def remap_level_arrays(
     no entry names).  Entry slices keep their order, so the result equals
     the level a fresh export of the same index would write.
     """
-    counts = np.diff(arrays.indptr)[old_ids]
+    counts, entry_vertex, entry_weight, entry_offset = gather_slices(arrays, old_ids)
     indptr = np.zeros(old_ids.shape[0] + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    positions = _slice_positions(arrays.indptr[old_ids], counts)
     return LevelArrays(
         num_upper=num_upper,
         indptr=indptr,
-        entry_vertex=new_ids[arrays.entry_vertex[positions]],
-        entry_weight=np.asarray(arrays.entry_weight[positions], dtype=np.float64),
-        entry_offset=np.asarray(arrays.entry_offset[positions], dtype=np.int64),
+        entry_vertex=new_ids[entry_vertex],
+        entry_weight=entry_weight,
+        entry_offset=entry_offset,
         offsets=np.asarray(arrays.offsets[old_ids], dtype=np.int64),
     )
 
@@ -521,8 +491,7 @@ def level_arrays_from_dicts(
 ) -> LevelArrays:
     """Derive the flat :class:`LevelArrays` of one level from dict structures.
 
-    This is the bridge that lets dict-built indexes — including incrementally
-    maintained ones, whose lists are patched in place — serve the array query
+    This is the bridge that lets dict-built indexes serve the array query
     path: one O(entries) conversion per level, amortised across a batch of
     queries.  Vertices absent from ``global_ids`` (stale zero-offset entries
     left behind by graph shrinkage) are skipped.

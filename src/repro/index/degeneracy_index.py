@@ -23,7 +23,9 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 if TYPE_CHECKING:
     import numpy as np
 
+    from repro.graph.csr import CSRBipartiteGraph
     from repro.index.csr_build import LevelArrays
+    from repro.index.parallel_build import LevelPayload
 
 from repro.decomposition.degeneracy import degeneracy
 from repro.decomposition.offsets import alpha_offsets, beta_offsets, offsets_dict_from_arrays
@@ -55,9 +57,14 @@ class DegeneracyIndex(CommunityIndex):
     ``backend`` selects the construction engine: ``"dict"`` walks the
     label-level adjacency, ``"csr"`` freezes the graph once and runs the
     vectorised kernels, ``"auto"`` picks by graph size.  Both engines produce
-    identical index structures, so queries (and the incremental maintenance
-    in :class:`~repro.index.maintenance.DynamicDegeneracyIndex`) are
-    backend-agnostic.
+    identical index structures, so queries are backend-agnostic.
+
+    This static index keeps every level twice — ``Vertex``-keyed offset
+    dicts and sorted adjacency lists (the reference the agreement tests and
+    paper-figure comparisons read) plus the flat
+    :class:`~repro.index.csr_build.LevelArrays` of the array query path.
+    The maintained :class:`~repro.index.maintenance.DynamicDegeneracyIndex`
+    keeps only the arrays.
 
     ``n_jobs`` shards the CSR backend's per-level construction passes across
     a process pool (see :mod:`repro.index.parallel_build`); every worker
@@ -102,9 +109,9 @@ class DegeneracyIndex(CommunityIndex):
         """Array-native construction: freeze once, run every level on CSR.
 
         Each level is materialised twice from the same filtered/sorted edge
-        arrays: as the dict adjacency lists every query and maintenance code
-        path understands, and as the flat :class:`LevelArrays` the array
-        query path consumes — so batch queries never pay a conversion.
+        arrays: as the dict mirror (:meth:`_mirror_level`) and as the flat
+        :class:`LevelArrays` the array query path consumes — so batch
+        queries never pay a conversion.
 
         The per-level array passes come from
         :func:`~repro.index.parallel_build.compute_level_payloads` (sharded
@@ -114,10 +121,7 @@ class DegeneracyIndex(CommunityIndex):
         """
         from repro.decomposition.csr_kernels import csr_degeneracy
         from repro.graph.csr import freeze
-        from repro.index.csr_build import (
-            assemble_sorted_adjacency,
-            build_level_arrays,
-        )
+        from repro.index.csr_build import build_level_arrays
         from repro.index.parallel_build import compute_level_payloads
 
         csr = freeze(self._graph)
@@ -129,34 +133,45 @@ class DegeneracyIndex(CommunityIndex):
             csr.upper_labels, csr.lower_labels, global_ids=csr.global_id_map()
         )
         for payload in payloads:
-            tau = payload.tau
-            sa_u, sa_l = payload.alpha_upper, payload.alpha_lower
-            sb_u, sb_l = payload.beta_upper, payload.beta_lower
-            self._alpha_offsets[tau] = offsets_dict_from_arrays(csr, sa_u, sa_l)
-            self._beta_offsets[tau] = offsets_dict_from_arrays(csr, sb_u, sb_l)
-            member_upper = sa_u >= tau
-            member_lower = sa_l >= tau
-            self._alpha_lists[tau] = assemble_sorted_adjacency(
-                csr, member_upper, member_lower, True, payload.alpha_entries
-            )
-            self._beta_lists[tau] = assemble_sorted_adjacency(
-                csr, member_upper, member_lower, False, payload.beta_entries
+            self._mirror_level(csr, payload)
+            path.set_level(
+                ("alpha", payload.tau),
+                build_level_arrays(
+                    csr, payload.alpha_upper, payload.alpha_lower, payload.alpha_entries
+                ),
             )
             path.set_level(
-                ("alpha", tau),
-                build_level_arrays(csr, sa_u, sa_l, payload.alpha_entries),
-            )
-            path.set_level(
-                ("beta", tau),
-                build_level_arrays(csr, sb_u, sb_l, payload.beta_entries),
+                ("beta", payload.tau),
+                build_level_arrays(
+                    csr, payload.beta_upper, payload.beta_lower, payload.beta_entries
+                ),
             )
         self._array_path = path
+
+    def _mirror_level(self, csr: "CSRBipartiteGraph", payload: "LevelPayload") -> None:
+        """Assemble one level's dict mirror (offset dicts and sorted lists)."""
+        from repro.index.csr_build import assemble_sorted_adjacency
+
+        tau = payload.tau
+        sa_u, sa_l = payload.alpha_upper, payload.alpha_lower
+        self._alpha_offsets[tau] = offsets_dict_from_arrays(csr, sa_u, sa_l)
+        self._beta_offsets[tau] = offsets_dict_from_arrays(
+            csr, payload.beta_upper, payload.beta_lower
+        )
+        member_upper = sa_u >= tau
+        member_lower = sa_l >= tau
+        self._alpha_lists[tau] = assemble_sorted_adjacency(
+            csr, member_upper, member_lower, True, payload.alpha_entries
+        )
+        self._beta_lists[tau] = assemble_sorted_adjacency(
+            csr, member_upper, member_lower, False, payload.beta_entries
+        )
 
     def _build_level(self, tau: int) -> None:
         """Compute the level-τ adjacency lists of both halves of the index.
 
         Honours the index's resolved backend so an explicit ``backend="dict"``
-        build (or maintenance refresh) never routes through the CSR kernels.
+        build never routes through the CSR kernels.
         """
         graph = self._graph
         sa = alpha_offsets(graph, tau, backend=self._backend)
@@ -364,8 +379,7 @@ class DegeneracyIndex(CommunityIndex):
         The snapshot store (:mod:`repro.serving.snapshot`) persists exactly
         these structures.  Levels the array query path has not touched yet are
         converted from their dict lists on the spot, so the export works for
-        every construction backend — and for incrementally maintained indexes,
-        whose array path is rebuilt lazily from the patched lists.
+        every construction backend.
         """
         path = self.query_path()
         keys = []

@@ -4,9 +4,8 @@ The paper's maintenance section observes that after inserting or removing an
 edge ``(u, v)`` only a bounded *candidate region* around the edge — the S⁺
 (insertion) / S⁻ (removal) sets — can change its offsets at any level, and
 only those vertices' index entries need recomputing.  This module implements
-that outline as three cooperating pieces, the first two of which run on
-global integer ids (upper vertices first, as in
-:class:`~repro.index.csr_build.LevelArrays`) and numpy arrays:
+that outline as three cooperating pieces, all running on global integer ids
+(as in :class:`~repro.index.csr_build.LevelArrays`) and numpy arrays:
 
 **Region planner** (:func:`plan_level_region`)
     Per level and index half, a slack-aware closure expands from the updated
@@ -18,11 +17,11 @@ global integer ids (upper vertices first, as in
     it has slack, and the S⁺ closure only when its optimistic support at
     ``old + 1`` reaches the peeling requirement — so the closure stays a
     small ball around the edge even on graphs with one giant component.
-    Its inputs are the level's id-indexed offset array and the graph's
-    neighbour ids (:class:`IdAdjacency`), both kept by the maintained index
-    in one append-only id space and updated in place on every edge insert
-    and removal — a never-seen vertex is appended, not a reason to
-    re-intern.  Each round expands a whole frontier with numpy gathers over
+    Its inputs are the level's offsets (``LevelArrays.offsets``) and the
+    graph's neighbour ids (:class:`IdAdjacency`), both in the maintained
+    index's one append-only id space and updated on every edge insert and
+    removal — a never-seen vertex is appended, not a reason to re-intern.
+    Each round expands a whole frontier with numpy gathers over
     generation-stamped scratch, so no :class:`Vertex` is built or hashed
     per neighbour and the work follows the closure, not the graph size.
 
@@ -37,28 +36,30 @@ global integer ids (upper vertices first, as in
     — is *exact*; no verification pass is needed.  A closure that outgrows
     the region budget sends just that level down the full re-peel fallback.
 
-**Patch applier**
-    Level results are applied change-driven: only vertices whose offsets
-    moved, their neighbours (whose sorted entries embed those offsets) and
-    the edge's endpoints get their adjacency lists rebuilt — in the dict
-    stores, in the planner's offset arrays and, via
-    :func:`~repro.index.csr_build.patch_level_arrays`, in whatever
-    :class:`~repro.index.csr_build.LevelArrays` a query has materialised on
-    the array query path (a writer that never queries builds none, so its
-    per-update cost never pays a whole-level copy).  Every patch is also
-    recorded in a :class:`MaintenanceJournal` so
-    ``save_index(format="snapshot")`` can persist just the delta next to an
-    existing base snapshot (:mod:`repro.serving.snapshot`).
+**Patch applier** (:meth:`DynamicDegeneracyIndex._splice`)
+    The maintained index stores each level once, as the
+    :class:`~repro.index.csr_build.LevelArrays` the queries read (the
+    paper's per-level offsets plus neighbour lists sorted by decreasing
+    offset).  Level results are applied change-driven: only vertices whose
+    offsets moved, their neighbours (whose sorted entries embed those
+    offsets) and the edge's endpoints get their slices rebuilt — one
+    vectorised pass (:func:`level_slices`: gather, offset filter, stable
+    ``lexsort``) spliced in with
+    :func:`~repro.index.csr_build.patch_level_arrays`.  The same builder,
+    run over every id, serves the budget fallback and a fresh level when δ
+    grows.  Every patch is also recorded in a :class:`MaintenanceJournal`
+    (dirty ids per level) so ``save_index(format="snapshot")`` can slice
+    just the delta out of the arrays next to an existing base snapshot
+    (:mod:`repro.serving.snapshot`).
 
 Degeneracy is adjusted incrementally too: a single edge update moves δ by at
 most one, growth is pre-screened by an O(1) endpoint check before the (rare)
-candidate-core peel, and shrink is detected from patched per-level core sizes
-without touching the rest of the graph.
+candidate-core peel, and shrink is read off the top level's offsets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -76,20 +77,20 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.graph.csr import CSRBipartiteGraph
     from repro.index.csr_build import LevelArrays
-    from repro.index.traversal import AdjacencyLists
+    from repro.index.parallel_build import LevelPayload
     from repro.serving.snapshot import SnapshotIndex
 
-from repro.decomposition.abcore import abcore_vertices
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex
-from repro.graph.views import induced_subgraph
 from repro.index.base import IndexStats
 from repro.index.degeneracy_index import DegeneracyIndex
+from repro.index.traversal import ArrayLevelIndex, ArrayQueryPath
 from repro.utils.timer import Timer
 
 __all__ = [
     "DEFAULT_REGION_BUDGET",
     "IdAdjacency",
     "plan_level_region",
+    "level_slices",
     "MaintenanceJournal",
     "DynamicDegeneracyIndex",
 ]
@@ -99,6 +100,7 @@ __all__ = [
 DEFAULT_REGION_BUDGET = 4096
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+_EMPTY_WEIGHTS = np.empty(0, dtype=np.float64)
 
 
 # --------------------------------------------------------------------------- #
@@ -109,13 +111,17 @@ class IdAdjacency:
 
     ``handles[g]`` is the :class:`Vertex` of id ``g`` (``ids`` the reverse
     map), ``upper[g]`` flags the upper side, ``neighbours[g]`` holds the
-    neighbour ids and ``degrees[g]`` their count.  The maintained index
-    updates the adjacency on every edge insert and removal, so planning and
-    peeling a candidate region gathers neighbour ids with numpy instead of
-    building and hashing one :class:`Vertex` per neighbour.  A vanished
-    vertex keeps its id (with no neighbours) and a never-seen one is
-    appended by :meth:`intern`; the per-id arrays keep spare capacity, so
-    the id space grows in place.
+    neighbour ids, ``weights[g]`` the matching edge weights and
+    ``degrees[g]`` their count.  The maintained index updates the adjacency
+    on every edge insert, re-weight and removal, so planning a candidate
+    region and rebuilding index slices gathers neighbour ids and weights
+    with numpy instead of building and hashing one :class:`Vertex` per
+    neighbour.  A vanished vertex keeps its id (with no neighbours) and a
+    never-seen one is appended by :meth:`intern`; the per-id arrays keep
+    spare capacity, so the id space grows in place.  ``num_upper`` counts
+    the upper ids, and ``upper_first`` turns False once an upper vertex is
+    appended after a lower one — the array query path needs upper ids first,
+    which :meth:`renumber` restores.
 
     The planner's per-id scratch lives here too: marks stamped with a
     per-plan generation, so a plan reads and writes only the ids it visits
@@ -127,7 +133,10 @@ class IdAdjacency:
         "ids",
         "upper",
         "neighbours",
+        "weights",
         "degrees",
+        "num_upper",
+        "upper_first",
         "_generation",
         "_seed",
         "_inside",
@@ -135,15 +144,23 @@ class IdAdjacency:
         "_slack",
     )
 
-    def __init__(self, handles: List[Vertex], neighbours: List[np.ndarray]) -> None:
+    def __init__(
+        self,
+        handles: List[Vertex],
+        neighbours: List[np.ndarray],
+        weights: List[np.ndarray],
+    ) -> None:
         self.handles = handles
         self.ids = {handle: gid for gid, handle in enumerate(handles)}
         self.neighbours = neighbours
+        self.weights = weights
         capacity = max(len(handles), 1)
         self.upper = np.zeros(capacity, dtype=bool)
         self.upper[: len(handles)] = [handle.side is Side.UPPER for handle in handles]
         self.degrees = np.zeros(capacity, dtype=np.int64)
         self.degrees[: len(handles)] = [ids.shape[0] for ids in neighbours]
+        self.num_upper = int(np.count_nonzero(self.upper))
+        self.upper_first = bool(self.upper[: self.num_upper].all())
         self._generation = 0
         self._seed = np.zeros(capacity, dtype=np.int64)
         self._inside = np.zeros(capacity, dtype=np.int64)
@@ -157,27 +174,30 @@ class IdAdjacency:
         upper_labels: Sequence[Hashable],
         lower_labels: Sequence[Hashable],
     ) -> "IdAdjacency":
-        """Intern ``graph``'s edges over the given labels (upper ids first)."""
+        """Intern ``graph``'s edges over the given labels (upper ids first).
+
+        Labels the graph does not hold get an id with no neighbours.
+        """
+        upper_ids = {label: gid for gid, label in enumerate(upper_labels)}
+        lower_ids = {
+            label: len(upper_labels) + lid for lid, label in enumerate(lower_labels)
+        }
         handles = [Vertex(Side.UPPER, label) for label in upper_labels] + [
             Vertex(Side.LOWER, label) for label in lower_labels
         ]
-        ids = {handle: gid for gid, handle in enumerate(handles)}
         neighbours: List[np.ndarray] = []
-        for handle in handles:
-            if graph.has_vertex(handle.side, handle.label):
-                other = handle.side.other
+        weights: List[np.ndarray] = []
+        for side, labels, other_ids in (
+            (Side.UPPER, upper_labels, lower_ids),
+            (Side.LOWER, lower_labels, upper_ids),
+        ):
+            for label in labels:
+                nbrs = graph.neighbors(side, label) if graph.has_vertex(side, label) else {}
                 neighbours.append(
-                    np.array(
-                        [
-                            ids[Vertex(other, nbr)]
-                            for nbr in graph.neighbors(handle.side, handle.label)
-                        ],
-                        dtype=np.int64,
-                    )
+                    np.fromiter(map(other_ids.__getitem__, nbrs), np.int64, len(nbrs))
                 )
-            else:
-                neighbours.append(_EMPTY_IDS)
-        return cls(handles, neighbours)
+                weights.append(np.fromiter(nbrs.values(), np.float64, len(nbrs)))
+        return cls(handles, neighbours, weights)
 
     @property
     def capacity(self) -> int:
@@ -193,22 +213,34 @@ class IdAdjacency:
         self.handles.append(vertex)
         self.ids[vertex] = gid
         self.neighbours.append(_EMPTY_IDS)
+        self.weights.append(_EMPTY_WEIGHTS)
         if gid == self.capacity:
             for name in ("upper", "degrees", "_seed", "_inside", "_settled", "_slack"):
                 array = getattr(self, name)
                 setattr(self, name, np.concatenate((array, np.zeros_like(array))))
-        self.upper[gid] = vertex.side is Side.UPPER
+        if vertex.side is Side.UPPER:
+            self.upper[gid] = True
+            self.upper_first &= gid == self.num_upper
+            self.num_upper += 1
         return gid
 
-    def add_edge(self, upper_id: int, lower_id: int) -> None:
+    def add_edge(self, upper_id: int, lower_id: int, weight: float) -> None:
         for owner, nbr in ((upper_id, lower_id), (lower_id, upper_id)):
             self.neighbours[owner] = np.append(self.neighbours[owner], nbr)
+            self.weights[owner] = np.append(self.weights[owner], weight)
             self.degrees[owner] += 1
+
+    def reweight(self, upper_id: int, lower_id: int, weight: float) -> None:
+        for owner, nbr in ((upper_id, lower_id), (lower_id, upper_id)):
+            weights = self.weights[owner].copy()
+            weights[self.neighbours[owner] == nbr] = weight
+            self.weights[owner] = weights
 
     def remove_edge(self, upper_id: int, lower_id: int) -> None:
         for owner, nbr in ((upper_id, lower_id), (lower_id, upper_id)):
-            ids = self.neighbours[owner]
-            self.neighbours[owner] = ids[ids != nbr]
+            keep = self.neighbours[owner] != nbr
+            self.neighbours[owner] = self.neighbours[owner][keep]
+            self.weights[owner] = self.weights[owner][keep]
             self.degrees[owner] -= 1
 
     def gather(self, gids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -221,6 +253,31 @@ class IdAdjacency:
             nbrs = _EMPTY_IDS
         owners = np.repeat(np.arange(gids.shape[0], dtype=np.int64), self.degrees[gids])
         return owners, nbrs
+
+    def gather_weights(self, gids: np.ndarray) -> np.ndarray:
+        """The edge weights of ``gids``, aligned with :meth:`gather`'s neighbours."""
+        if not gids.shape[0]:
+            return _EMPTY_WEIGHTS
+        return np.concatenate([self.weights[g] for g in gids.tolist()])
+
+    def renumber(self, old_ids: np.ndarray, new_ids: np.ndarray) -> None:
+        """Reorder the ids: new id ``g`` is old id ``old_ids[g]``.
+
+        ``new_ids`` is the inverse permutation; every neighbour list is
+        remapped with one gather.  The planner's scratch needs no reorder —
+        its generation stamps never match a later plan.
+        """
+        order = old_ids.tolist()
+        degrees = self.degrees[old_ids]
+        self.handles = [self.handles[g] for g in order]
+        self.ids = {handle: gid for gid, handle in enumerate(self.handles)}
+        if order:
+            flat = new_ids[np.concatenate([self.neighbours[g] for g in order])]
+            self.neighbours = np.split(flat, np.cumsum(degrees)[:-1])
+        self.weights = [self.weights[g] for g in order]
+        self.upper[: len(order)] = self.upper[old_ids]
+        self.degrees[: len(order)] = degrees
+        self.upper_first = True
 
 
 def _support(
@@ -427,6 +484,41 @@ class _RegionPeel:
         return np.concatenate((off_u, off_l))
 
 
+def level_slices(
+    adjacency: IdAdjacency,
+    gids: np.ndarray,
+    members: np.ndarray,
+    entry_offsets: np.ndarray,
+    tau: int,
+    strict: bool,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The index entries of ``gids`` at one level half, as patch arrays.
+
+    A vertex owns a list when its α-offset at level τ (``members``) is ≥ τ —
+    it is in the (τ,τ)-core; a neighbour is an entry when its offset in
+    ``entry_offsets`` is ≥ τ, or > τ with ``strict`` (the β-half).  One
+    gather, one filter and one stable ``lexsort`` by (owner, −offset) build
+    every slice at once, ties kept in adjacency order — the order
+    Algorithm 3 produces.  Returns ``(counts, entry_vertex, entry_weight,
+    entry_offset)`` aligned with ``gids``, the form
+    :func:`~repro.index.csr_build.patch_level_arrays` splices.
+    """
+    owners, nbrs = adjacency.gather(gids)
+    weights = adjacency.gather_weights(gids)
+    offsets = entry_offsets[nbrs]
+    keep = (members[gids] >= tau)[owners] & (
+        offsets > tau if strict else offsets >= tau
+    )
+    owners, offsets = owners[keep], offsets[keep]
+    order = np.lexsort((-offsets, owners))
+    return (
+        np.bincount(owners, minlength=gids.shape[0]),
+        nbrs[keep][order],
+        weights[keep][order],
+        offsets[order],
+    )
+
+
 # --------------------------------------------------------------------------- #
 # the patch journal
 # --------------------------------------------------------------------------- #
@@ -434,20 +526,21 @@ class _RegionPeel:
 class MaintenanceJournal:
     """What changed since the index was last persisted as a snapshot.
 
-    The journal stores no entry data — the dict stores are always current —
-    only *which* vertices of which levels are dirty, the applied graph
-    operations, and the net set of vertices the updates removed.  Encoding a
-    delta then reads the live stores for exactly the dirty vertices.  A base
-    binding (directory, snapshot id, global-id map of the base's label order)
-    is attached when the index is saved to / loaded from a snapshot;
-    ``compatible`` turns False once an update introduces a vertex the base id
-    space has never seen, at which point the next save rewrites a full
-    snapshot instead of appending a delta.
+    The journal stores no entry data — the level arrays are always current —
+    only *which* ids of which levels are dirty, the applied graph
+    operations, and the net set of ids the updates removed, all in the
+    maintained index's id space.  Encoding a delta then slices exactly the
+    dirty ids out of the live level arrays and maps them to base ids
+    (:meth:`base_id_map`).  A base binding (directory, snapshot id, global-id
+    map of the base's label order) is attached when the index is saved to /
+    loaded from a snapshot; ``compatible`` turns False once an update
+    introduces a vertex the base id space has never seen, at which point the
+    next save rewrites a full snapshot instead of appending a delta.
     """
 
     ops: List[Tuple[str, Hashable, Hashable, float]] = field(default_factory=list)
-    removed: Set[Vertex] = field(default_factory=set)
-    dirty: Dict[Tuple[str, int], Set[Vertex]] = field(default_factory=dict)
+    removed: Set[int] = field(default_factory=set)
+    dirty: Dict[Tuple[str, int], Set[int]] = field(default_factory=dict)
     full_levels: Set[Tuple[str, int]] = field(default_factory=set)
     base_directory: Optional[str] = None
     base_id: Optional[str] = None
@@ -457,31 +550,37 @@ class MaintenanceJournal:
     base_num_vertices: int = 0
     base_global_ids: Optional[Dict[Vertex, int]] = None
     compatible: bool = True
+    _base_ids: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def has_changes(self) -> bool:
         return bool(self.ops or self.removed or self.dirty or self.full_levels)
 
-    def record_insert(self, upper_label: Hashable, lower_label: Hashable, weight: float) -> None:
+    def record_insert(
+        self,
+        upper_label: Hashable,
+        lower_label: Hashable,
+        weight: float,
+        gids: Iterable[int],
+    ) -> None:
         self.ops.append(("insert", upper_label, lower_label, weight))
-        self.removed.discard(Vertex(Side.UPPER, upper_label))
-        self.removed.discard(Vertex(Side.LOWER, lower_label))
+        self.removed.difference_update(gids)
 
     def record_remove(self, upper_label: Hashable, lower_label: Hashable) -> None:
         self.ops.append(("remove", upper_label, lower_label, 0.0))
 
-    def record_removed_vertices(self, vertices: Iterable[Vertex]) -> None:
-        self.removed.update(vertices)
+    def record_removed_vertices(self, gids: Iterable[int]) -> None:
+        self.removed.update(gids)
 
     def note_vertex(self, vertex: Vertex) -> None:
         """A (possibly new) vertex entered the graph."""
         if self.base_global_ids is not None and vertex not in self.base_global_ids:
             self.compatible = False
 
-    def mark_dirty(self, key: Tuple[str, int], vertices: Iterable[Vertex]) -> None:
+    def mark_dirty(self, key: Tuple[str, int], gids: Iterable[int]) -> None:
         if key in self.full_levels:
             return
-        self.dirty.setdefault(key, set()).update(vertices)
+        self.dirty.setdefault(key, set()).update(gids)
 
     def mark_full(self, key: Tuple[str, int]) -> None:
         self.full_levels.add(key)
@@ -510,6 +609,7 @@ class MaintenanceJournal:
         self.base_num_vertices = num_vertices
         self.base_global_ids = global_ids
         self.compatible = True
+        self._base_ids = None
 
     def advance(self, sequence: int, delta: int) -> None:
         """A delta was persisted: clear pending changes, keep the base binding."""
@@ -528,12 +628,67 @@ class MaintenanceJournal:
             and self.compatible
         )
 
+    def renumber(self, new_ids: np.ndarray) -> None:
+        """The maintained ids moved (``old id → new_ids[old id]``): follow them.
+
+        The pending dirty and removed ids are mapped through ``new_ids``
+        and the cached base-id map is dropped, so the next delta save
+        recomputes it in the new id order.
+        """
+        self.dirty = {
+            key: set(new_ids[np.fromiter(gids, dtype=np.int64, count=len(gids))].tolist())
+            for key, gids in self.dirty.items()
+        }
+        self.removed = {int(new_ids[gid]) for gid in self.removed}
+        self._base_ids = None
+
+    def base_id_map(self, handles: Sequence[Vertex]) -> np.ndarray:
+        """Maintained id → base id (``-1`` where the base lacks the vertex).
+
+        ``handles`` lists the maintained index's vertices in id order.  The
+        map is computed once per base binding; ids appended since only
+        extend it.  A ``-1`` on a dirty id means the base cannot take the
+        change — what ``compatible = False`` already records.
+        """
+        known = 0 if self._base_ids is None else self._base_ids.shape[0]
+        if known < len(handles):
+            ids = self.base_global_ids
+            tail = np.fromiter(
+                (ids.get(handle, -1) for handle in handles[known:]),
+                dtype=np.int64,
+                count=len(handles) - known,
+            )
+            self._base_ids = (
+                tail if self._base_ids is None else np.concatenate((self._base_ids, tail))
+            )
+        return self._base_ids
+
 
 # --------------------------------------------------------------------------- #
 # the maintained index
 # --------------------------------------------------------------------------- #
-class DynamicDegeneracyIndex(DegeneracyIndex):
+def _read_only(level: "LevelArrays") -> "LevelArrays":
+    """``level`` over read-only views: an adopted level is copied, never written."""
+    views = {}
+    for name in ("indptr", "entry_vertex", "entry_weight", "entry_offset", "offsets"):
+        view = getattr(level, name).view()
+        view.flags.writeable = False
+        views[name] = view
+    return replace(level, **views)
+
+
+class DynamicDegeneracyIndex(ArrayLevelIndex, DegeneracyIndex):
     """A :class:`DegeneracyIndex` that absorbs edge updates by region patching.
+
+    The maintained index stores each level once: one
+    :class:`~repro.index.csr_build.LevelArrays` per (half, τ), over the ids
+    of its :class:`IdAdjacency` — the build's (or the reopened snapshot's)
+    upper-first ids, with never-seen vertices appended and vanished ones
+    kept as ids with offset 0 and no entries.  Every update patches those
+    arrays in place of the static index's dict mirror, and every query
+    (``community``, ``contains``, ``vertices_in_core``, the batch verbs)
+    runs the shared :class:`~repro.index.traversal.ArrayLevelIndex` queries
+    over them.
 
     ``max_chain_len`` is the optional auto-compaction policy: when set, a
     ``save_index(..., format="snapshot")`` that grows the on-disk delta chain
@@ -541,10 +696,6 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
     (:func:`repro.serving.compaction.compact_snapshot`) and re-binds the
     journal, so cold-start replay cost stays bounded under sustained churn.
     """
-
-    # A class-level default lets indexes pickled before the id adjacency
-    # existed intern it on their first update.
-    _ids: Optional[IdAdjacency] = None
 
     def __init__(
         self,
@@ -555,13 +706,24 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         max_chain_len: Optional[int] = None,
     ) -> None:
         # Index a private copy so external mutation of the original graph
-        # cannot silently desynchronise the index.  Either construction
-        # backend works: both produce the same dict structures this class
-        # patches during maintenance.
+        # cannot silently desynchronise the index.
         super().__init__(graph.copy(), backend=backend, n_jobs=n_jobs)
+        graph = self._graph
+        built, self._array_path, self._levels = self._array_path, None, {}
+        self._ids = IdAdjacency.from_graph(
+            graph, list(graph.upper_labels()), list(graph.lower_labels())
+        )
+        if built is not None:  # a CSR build registered every level natively
+            self._levels.update((key, built.level(key)) for key in built.level_keys())
+        else:  # a dict build converts its mirror once, into the shared levels
+            DegeneracyIndex.export_level_arrays(self)
+        del self._alpha_offsets, self._beta_offsets, self._alpha_lists, self._beta_lists
         self._region_budget = region_budget
         self.max_chain_len = max_chain_len
         self._finish_init()
+
+    def _mirror_level(self, csr: "CSRBipartiteGraph", payload: "LevelPayload") -> None:
+        """No dict mirror: the maintained index keeps only the level arrays."""
 
     def _finish_init(self) -> None:
         self._maintenance_seconds = 0.0
@@ -574,18 +736,7 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
             for vertex in self._graph.vertices()
             if self._graph.degree_of(vertex) == 0
         ]
-        self._core_sizes: Dict[int, int] = {
-            tau: sum(1 for offset in offsets.values() if offset >= tau)
-            for tau, offsets in self._alpha_offsets.items()
-        }
         self._journal = MaintenanceJournal()
-        # True while the array path's id space enumerates exactly the graph's
-        # current vertices (required before a full snapshot export).
-        self._path_matches_graph = True
-        # The graph over global ids and every level's id-indexed offsets,
-        # the planner's inputs; interned on the first update.
-        self._ids = None
-        self._level_offsets: Dict[Tuple[str, int], np.ndarray] = {}
         # observability
         self._levels_patched = 0
         self._levels_rebuilt = 0
@@ -595,9 +746,6 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         self._regions_peeled = 0
         self._reweight_updates = 0
         self._region_vertices_total = 0
-        self._arrays_patched = 0
-        self._arrays_invalidated = 0
-        self._arrays_dropped = 0
         self._compactions = 0
         self._deltas_folded = 0
 
@@ -607,15 +755,16 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
     ) -> "DynamicDegeneracyIndex":
         """Reopen a persisted snapshot as a mutable, maintainable index.
 
-        The dict stores are reconstructed from the snapshot's flat level
-        arrays (one linear pass per level — no from-scratch peel), and the
-        journal is bound to the snapshot's directory so the next
+        The snapshot's level arrays are adopted as they are (copied only
+        when an update first writes them) — no dict mirror, no from-scratch
+        peel.  The id adjacency spans the snapshot's id space, so a vertex
+        the deltas removed keeps its id with no neighbours.  The journal is
+        bound to the snapshot's directory so the next
         ``save_index(..., format="snapshot")`` to the same directory appends
         a delta instead of rewriting the base.  ``max_chain_len`` installs
         the auto-compaction policy, as in the constructor.
         """
         from repro.graph.csr import resolve_backend
-        from repro.index.csr_build import level_dicts_from_arrays
 
         graph = snapshot.graph.copy()
         self = cls.__new__(cls)
@@ -627,37 +776,23 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         self._backend = resolve_backend("auto", graph)
         self._n_jobs = 1
         self._delta = snapshot.delta
-        self._alpha_lists = {}
-        self._beta_lists = {}
-        self._alpha_offsets = {}
-        self._beta_offsets = {}
         self._array_path = None
         self._build_seconds = 0.0
         self._build_extra = {}
         handles = snapshot.global_handles()
-        alive = [
-            handle
-            if handle is not None and graph.has_vertex(handle.side, handle.label)
-            else None
-            for handle in handles
-        ]
-        for (half, tau), arrays in snapshot.level_arrays().items():
-            offsets, lists = level_dicts_from_arrays(
-                arrays, alive, tau, alpha_half=(half == "alpha")
-            )
-            if half == "alpha":
-                self._alpha_offsets[tau] = offsets
-                self._alpha_lists[tau] = lists
-            else:
-                self._beta_offsets[tau] = offsets
-                self._beta_lists[tau] = lists
+        labels = [handle.label for handle in handles]
+        num_upper = snapshot.num_upper
+        self._ids = IdAdjacency.from_graph(graph, labels[:num_upper], labels[num_upper:])
+        self._levels = {
+            key: _read_only(level) for key, level in snapshot.level_arrays().items()
+        }
         self._finish_init()
         self._journal.bind_base(
             str(snapshot.directory),
             snapshot.snapshot_id,
             snapshot.version,
             snapshot.delta,
-            snapshot.num_upper,
+            num_upper,
             len(handles),
             {handle: gid for gid, handle in enumerate(handles)},
         )
@@ -671,44 +806,36 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
     ) -> None:
         """Insert (or re-weight) an edge and patch the affected index levels."""
         with Timer() as timer:
-            ids = self._ensure_ids()
             reweight = self._graph.has_edge(upper_label, lower_label)
             self._graph.add_edge(upper_label, lower_label, weight)
-            self._journal.record_insert(upper_label, lower_label, weight)
-            for vertex in (
-                Vertex(Side.UPPER, upper_label),
-                Vertex(Side.LOWER, lower_label),
-            ):
+            endpoints = (Vertex(Side.UPPER, upper_label), Vertex(Side.LOWER, lower_label))
+            gu, gv = self._intern(endpoints[0]), self._intern(endpoints[1])
+            self._journal.record_insert(upper_label, lower_label, weight, (gu, gv))
+            for vertex in endpoints:
                 self._journal.note_vertex(vertex)
-                self._note_vertex_for_arrays(vertex)
             if reweight:
                 # Offsets depend only on the structure: a pure re-weight
                 # touches nothing but the two mirrored entry weights per level.
                 self._reweight_updates += 1
-                self._reweight_entries(upper_label, lower_label, weight)
+                self._ids.reweight(gu, gv, weight)
+                self._reweight_entries(gu, gv, weight)
             else:
-                ids.add_edge(
-                    self._intern(Vertex(Side.UPPER, upper_label)),
-                    self._intern(Vertex(Side.LOWER, lower_label)),
-                )
-                self._refresh_after_update(upper_label, lower_label)
+                self._ids.add_edge(gu, gv, weight)
+                self._refresh_after_update(gu, gv, removal=False)
         self._maintenance_seconds += timer.elapsed
         self._updates_applied += 1
 
     def remove_edge(self, upper_label: Hashable, lower_label: Hashable) -> None:
         """Remove an edge and patch the affected index levels."""
         with Timer() as timer:
-            # Intern before the graph changes: the dict stores still name the
-            # vertices this removal is about to drop.
-            ids = self._ensure_ids()
             self._graph.remove_edge(upper_label, lower_label)
-            ids.remove_edge(
-                ids.ids[Vertex(Side.UPPER, upper_label)],
-                ids.ids[Vertex(Side.LOWER, lower_label)],
-            )
+            ids = self._ids
+            gu = ids.ids[Vertex(Side.UPPER, upper_label)]
+            gv = ids.ids[Vertex(Side.LOWER, lower_label)]
+            ids.remove_edge(gu, gv)
             self._graph.discard_isolated()
             self._journal.record_remove(upper_label, lower_label)
-            self._refresh_after_update(upper_label, lower_label, can_grow=False)
+            self._refresh_after_update(gu, gv, removal=True)
         self._maintenance_seconds += timer.elapsed
         self._updates_applied += 1
 
@@ -722,156 +849,147 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         return self._region_budget
 
     # ------------------------------------------------------------------ #
-    # array-path bookkeeping
+    # the id space and the query path
     # ------------------------------------------------------------------ #
-    def _note_vertex_for_arrays(self, vertex: Vertex) -> None:
-        """Drop the array path when a never-seen vertex enters the graph.
+    def global_handles(self) -> List[Vertex]:
+        """The vertex of every id (dead ids included), in id order."""
+        return self._ids.handles
 
-        A vertex that vanished earlier and comes back reuses its old global
-        id (labels are interned for the path's lifetime), so only genuinely
-        new labels force a rebuild of the id space.
-        """
-        path = self._array_path
-        if path is not None and not path.has_vertex(vertex):
-            self._array_path = None
-            self._path_matches_graph = True
-            self._arrays_invalidated += 1
-
-    def _ensure_ids(self) -> IdAdjacency:
-        """The graph over global ids and every level's offset array.
-
-        Interned once, from the graph and the dict stores, on the first
-        update; every later update keeps both current in place, whether or
-        not a query ever materialises the array path.
-        """
-        if self._ids is None:
-            graph = self._graph
-            self._ids = IdAdjacency.from_graph(
-                graph, list(graph.upper_labels()), list(graph.lower_labels())
-            )
-            self._level_offsets = {}
-            for tau in range(1, self._delta + 1):
-                self._level_offsets[("alpha", tau)] = self._offset_array(
-                    self._alpha_offsets[tau]
-                )
-                self._level_offsets[("beta", tau)] = self._offset_array(
-                    self._beta_offsets[tau]
-                )
-        return self._ids
-
-    def _offset_array(self, offsets: Dict[Vertex, int]) -> np.ndarray:
-        """One level half's dict offsets as an id-indexed array."""
-        ids = self._ids.ids
-        array = np.zeros(self._ids.capacity, dtype=np.int64)
-        array[np.fromiter((ids[v] for v in offsets), np.int64, len(offsets))] = (
-            np.fromiter(offsets.values(), np.int64, len(offsets))
-        )
-        return array
+    def _contains_vertex(self, vertex: Vertex) -> bool:
+        return self._graph.has_vertex(vertex.side, vertex.label)
 
     def _intern(self, vertex: Vertex) -> int:
-        """The global id of ``vertex``, growing the offset arrays with the ids."""
+        """The id of ``vertex``; a never-seen one grows every level by one id."""
+        gid = self._ids.ids.get(vertex)
+        if gid is not None:
+            return gid
         gid = self._ids.intern(vertex)
-        capacity = self._ids.capacity
-        for key, offsets in self._level_offsets.items():
-            if offsets.shape[0] < capacity:
-                self._level_offsets[key] = np.concatenate(
-                    (offsets, np.zeros(capacity - offsets.shape[0], dtype=np.int64))
-                )
+        for key, level in self._levels.items():
+            self._levels[key] = replace(
+                level,
+                indptr=np.append(level.indptr, level.indptr[-1]),
+                offsets=np.append(level.offsets, 0),
+            )
+        self._array_path = None  # its label arrays span the old ids
         return gid
 
-    def export_level_arrays(self) -> "Dict[Tuple[str, int], LevelArrays]":
-        """See :meth:`DegeneracyIndex.export_level_arrays`.
+    def query_path(self) -> ArrayQueryPath:
+        """The array query engine over the maintained levels.
 
-        A maintained index may carry dead ids in its array path (vertices
-        removed since the path was built); a full snapshot export needs the
-        id space to match the graph exactly, so the path is rebuilt first
-        when they diverged.
+        It shares the id adjacency's id map and the level dict itself, so
+        patches need no registration.  Upper ids must come first: after a
+        never-seen upper vertex was appended, the first query renumbers once
+        (:meth:`_renumber`).
         """
-        if not self._path_matches_graph:
-            self._array_path = None
-            self._path_matches_graph = True
-        return super().export_level_arrays()
+        if not self._ids.upper_first:
+            self._renumber()
+        if self._array_path is None:
+            handles, num_upper = self._ids.handles, self._ids.num_upper
+            self._array_path = ArrayQueryPath(
+                [handle.label for handle in handles[:num_upper]],
+                [handle.label for handle in handles[num_upper:]],
+                global_ids=self._ids.ids,
+                levels=self._levels,
+            )
+        return self._array_path
+
+    def _renumber(self) -> None:
+        """Move the upper ids ahead of the lower ones again.
+
+        One :func:`~repro.index.csr_build.remap_level_arrays` per level plus
+        one gather over the id adjacency — the remap compaction uses.  The
+        journal's pending ids follow (:meth:`MaintenanceJournal.renumber`),
+        so a delta saved afterwards still slices the ids that changed.
+        """
+        from repro.index.csr_build import remap_level_arrays
+
+        ids = self._ids
+        upper = ids.upper[: len(ids.handles)]
+        old_ids = np.concatenate((np.flatnonzero(upper), np.flatnonzero(~upper)))
+        new_ids = np.empty(old_ids.shape[0], dtype=np.int64)
+        new_ids[old_ids] = np.arange(old_ids.shape[0], dtype=np.int64)
+        for key, level in self._levels.items():
+            self._levels[key] = remap_level_arrays(level, old_ids, new_ids, ids.num_upper)
+        ids.renumber(old_ids, new_ids)
+        self._journal.renumber(new_ids)
+        self._array_path = None
+
+    def export_level_arrays(self) -> "Dict[Tuple[str, int], LevelArrays]":
+        """Every level in the graph's own id order — what a fresh build exports.
+
+        The maintained ids keep dead vertices and number returning or new
+        ones by first sighting; a full snapshot needs exactly the graph's
+        current vertices in ``freeze(graph)`` order, so each level is
+        remapped once (:func:`~repro.index.csr_build.remap_level_arrays`).
+        The maintained ids are first made upper-first (:meth:`_renumber`),
+        so a base bound to this export never sees them move.
+        """
+        from repro.index.csr_build import remap_level_arrays
+
+        if not self._ids.upper_first:
+            self._renumber()
+        graph = self._graph
+        ids = self._ids.ids
+        order = [ids[Vertex(Side.UPPER, label)] for label in graph.upper_labels()]
+        order += [ids[Vertex(Side.LOWER, label)] for label in graph.lower_labels()]
+        old_ids = np.array(order, dtype=np.int64)
+        new_ids = np.full(len(self._ids.handles), -1, dtype=np.int64)
+        new_ids[old_ids] = np.arange(old_ids.shape[0], dtype=np.int64)
+        return {
+            (half, tau): remap_level_arrays(
+                self._levels[(half, tau)], old_ids, new_ids, graph.num_upper
+            )
+            for tau in range(1, self._delta + 1)
+            for half in ("alpha", "beta")
+        }
 
     # ------------------------------------------------------------------ #
-    # vanished-vertex bookkeeping (unchanged semantics from the component era)
+    # vanished-vertex bookkeeping
     # ------------------------------------------------------------------ #
-    def _vanished_vertices(
-        self, upper_label: Hashable, lower_label: Hashable
-    ) -> Tuple[Vertex, ...]:
-        """Vertices dropped from the graph by the current update.
+    def _vanished_ids(self, endpoints: Tuple[int, int]) -> List[int]:
+        """Ids dropped from the graph by the current update.
 
         Removing an edge can newly isolate (and thus discard) only its own
         two endpoints; the only other vertices ``discard_isolated`` can drop
         are the ones isolated since construction, tracked in
         ``self._pending_isolated``.
         """
-        candidates = [Vertex(Side.UPPER, upper_label), Vertex(Side.LOWER, lower_label)]
+        graph = self._graph
+        candidates = [self._ids.handles[gid] for gid in endpoints]
         if self._pending_isolated:
             candidates.extend(self._pending_isolated)
             self._pending_isolated = [
                 vertex
                 for vertex in self._pending_isolated
-                if self._graph.has_vertex(vertex.side, vertex.label)
+                if graph.has_vertex(vertex.side, vertex.label)
             ]
-        return tuple(
-            vertex
+        return [
+            self._ids.ids[vertex]
             for vertex in candidates
-            if not self._graph.has_vertex(vertex.side, vertex.label)
-        )
-
-    def _purge_vertices(self, vertices: Tuple[Vertex, ...]) -> None:
-        """Drop every index entry owned by ``vertices`` and patch the arrays."""
-        if not vertices:
-            return
-        self._journal.record_removed_vertices(vertices)
-        for tau, offsets in self._alpha_offsets.items():
-            for vertex in vertices:
-                if offsets.get(vertex, 0) >= tau:
-                    self._core_sizes[tau] = self._core_sizes.get(tau, 0) - 1
-        for stores in (
-            self._alpha_offsets,
-            self._beta_offsets,
-            self._alpha_lists,
-            self._beta_lists,
-        ):
-            for level in stores.values():
-                for vertex in vertices:
-                    level.pop(vertex, None)
-        for tau in self._alpha_offsets:
-            for half in ("alpha", "beta"):
-                self._journal.mark_dirty((half, tau), vertices)
-        # A vanished vertex keeps its id, with offset 0 at every level.
-        ids = self._ids.ids
-        purged = [ids[v] for v in vertices if v in ids]
-        for offsets in self._level_offsets.values():
-            offsets[purged] = 0
-        path = self._array_path
-        if path is None:
-            return
-        self._path_matches_graph = False
-        wiped = [
-            gid for gid in (path.global_id(v) for v in vertices) if gid is not None
+            if not graph.has_vertex(vertex.side, vertex.label)
         ]
-        if not wiped:
-            return
-        from repro.index.csr_build import entries_to_patch_arrays, patch_level_arrays
 
-        gids, counts, ev, ew, eo = entries_to_patch_arrays({g: [] for g in wiped})
+    def _purge(self, gids: List[int]) -> None:
+        """Zero the offsets and empty the slices of vanished ids at every level."""
+        if not gids:
+            return
+        from repro.index.csr_build import patch_level_arrays
+
+        self._journal.record_removed_vertices(gids)
+        gids = np.unique(np.array(gids, dtype=np.int64))
         zeros = np.zeros(gids.shape[0], dtype=np.int64)
-        for key in path.level_keys():
-            path.set_level(
-                key,
-                patch_level_arrays(
-                    path.level(key), gids, counts, ev, ew, eo, gids, zeros
-                ),
-            )
+        for key, level in self._levels.items():
+            indptr = level.indptr
+            if np.any(level.offsets[gids] != 0) or np.any(indptr[gids + 1] != indptr[gids]):
+                self._levels[key] = patch_level_arrays(
+                    level, gids, zeros, _EMPTY_IDS, _EMPTY_WEIGHTS, _EMPTY_IDS, gids, zeros
+                )
+                self._journal.mark_dirty(key, gids.tolist())
 
     # ------------------------------------------------------------------ #
     # the update pipeline
     # ------------------------------------------------------------------ #
-    def _affected_levels(
-        self, upper_label: Hashable, lower_label: Hashable, removal: bool
-    ) -> List[int]:
+    def _affected_levels(self, gu: int, gv: int, removal: bool) -> List[int]:
         """Levels the update can possibly change (a sound prefilter).
 
         A core at ``(τ,β)`` differs between the old and new graph only when
@@ -883,46 +1001,31 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         the handful the edge actually touches.  Must run *before* the purge
         (a vanished endpoint's old offsets are part of the evidence).
         """
-        u = Vertex(Side.UPPER, upper_label)
-        v = Vertex(Side.LOWER, lower_label)
-        affected: List[int] = []
-        if removal:
-            for tau in range(1, self._delta + 1):
-                sa = self._alpha_offsets.get(tau, {})
-                sb = self._beta_offsets.get(tau, {})
-                if (sa.get(u, 0) >= 1 and sa.get(v, 0) >= 1) or (
-                    sb.get(u, 0) >= 1 and sb.get(v, 0) >= 1
-                ):
-                    affected.append(tau)
-        else:
-            cap = max(
-                self._graph.degree(Side.UPPER, upper_label),
-                self._graph.degree(Side.LOWER, lower_label),
+        if not removal:
+            cap = int(max(self._ids.degrees[gu], self._ids.degrees[gv]))
+            return list(range(1, min(self._delta, cap) + 1))
+        return [
+            tau
+            for tau in range(1, self._delta + 1)
+            if any(
+                self._levels[(half, tau)].offsets[gu] >= 1
+                and self._levels[(half, tau)].offsets[gv] >= 1
+                for half in ("alpha", "beta")
             )
-            affected.extend(range(1, min(self._delta, cap) + 1))
-        return affected
-
-    def _refresh_after_update(
-        self, upper_label: Hashable, lower_label: Hashable, can_grow: bool = True
-    ) -> None:
-        levels = self._affected_levels(upper_label, lower_label, removal=not can_grow)
-        self._purge_vertices(self._vanished_vertices(upper_label, lower_label))
-        endpoints = [
-            vertex
-            for vertex in (
-                Vertex(Side.UPPER, upper_label),
-                Vertex(Side.LOWER, lower_label),
-            )
-            if self._graph.has_vertex(vertex.side, vertex.label)
         ]
-        if endpoints and levels:
-            self._region_updates += 1
-            self._patch_levels(endpoints, levels, removal=not can_grow)
-        self._adjust_degeneracy(endpoints, can_grow)
 
-    def _patch_levels(
-        self, endpoints: Sequence[Vertex], levels: Sequence[int], removal: bool
-    ) -> None:
+    def _refresh_after_update(self, gu: int, gv: int, removal: bool) -> None:
+        levels = self._affected_levels(gu, gv, removal)
+        self._purge(self._vanished_ids((gu, gv)))
+        seeds = np.array(
+            [gid for gid in (gu, gv) if self._ids.degrees[gid] > 0], dtype=np.int64
+        )
+        if seeds.shape[0] and levels:
+            self._region_updates += 1
+            self._patch_levels(seeds, levels, removal)
+        self._adjust_degeneracy(seeds, not removal)
+
+    def _patch_levels(self, seeds: np.ndarray, levels: Sequence[int], removal: bool) -> None:
         """Re-peel each affected level inside its S⁺/S⁻ candidate region.
 
         The first changed vertex of any cascade is an endpoint (the updated
@@ -931,22 +1034,19 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
         removal is screened with an exact support count at the endpoint's
         old offset, an insertion with a two-vertex optimistic mini-peel that
         upper-bounds the endpoints' new offsets.  Levels that pass touch
-        nothing but the endpoints' own entry lists.  Levels that fail get a
+        nothing but the endpoints' own slices.  Levels that fail get a
         candidate closure per half, peeled with the frozen-boundary kernels
         — exact, because non-candidates provably keep their offsets.  Only a
         closure that blows past the region budget sends its level down the
         full re-peel fallback.
         """
         adjacency = self._ids
-        seeds = np.array([adjacency.ids[v] for v in endpoints], dtype=np.int64)
-        frozen = None
-        full_vertices: Optional[List[Vertex]] = None
         mini = None if removal else _RegionPeel(adjacency, seeds)
         for tau in levels:
             if tau > self._delta:  # pragma: no cover - defensive
                 break
-            old_a = self._level_offsets[("alpha", tau)]
-            old_b = self._level_offsets[("beta", tau)]
+            old_a = self._levels[("alpha", tau)].offsets
+            old_b = self._levels[("beta", tau)].offsets
             halves = []
             overflow = False
             for primary, old in ((Side.UPPER, old_a), (Side.LOWER, old_b)):
@@ -965,34 +1065,20 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
                 halves.append((peel.gids, peel.offsets(old, primary, tau)))
             if overflow:
                 # The closure outgrew the budget: re-peel the whole graph at
-                # this level (other components diff to no-ops in the patch).
-                if frozen is None and self._backend == "csr":
-                    from repro.graph.csr import freeze
-
-                    frozen = freeze(self._graph)
-                if full_vertices is None:
-                    full_vertices = list(self._graph.vertices())
-                sa_new = self._full_level_offsets(tau, Side.UPPER, frozen)
-                sb_new = self._full_level_offsets(tau, Side.LOWER, frozen)
-                self._apply_level_patch(tau, full_vertices, sa_new, sb_new, endpoints)
+                # this level (vertices that keep their offsets are no-ops).
+                touched = np.arange(len(adjacency.handles), dtype=np.int64)
+                new_a, new_b = self._full_level_offsets(tau)
                 self._levels_rebuilt += 1
-                continue
-            touched = np.unique(
-                np.concatenate([seeds] + [half[0] for half in halves if half])
-            )
-            new_a, new_b = old_a[touched], old_b[touched]
-            for new, half in ((new_a, halves[0]), (new_b, halves[1])):
-                if half is not None:
-                    new[np.searchsorted(touched, half[0])] = half[1]
-            handles = [adjacency.handles[gid] for gid in touched.tolist()]
-            self._apply_level_patch(
-                tau,
-                handles,
-                dict(zip(handles, new_a.tolist())),
-                dict(zip(handles, new_b.tolist())),
-                endpoints,
-            )
-            self._levels_patched += 1
+            else:
+                touched = np.unique(
+                    np.concatenate([seeds] + [half[0] for half in halves if half])
+                )
+                new_a, new_b = old_a[touched], old_b[touched]
+                for new, half in ((new_a, halves[0]), (new_b, halves[1])):
+                    if half is not None:
+                        new[np.searchsorted(touched, half[0])] = half[1]
+                self._levels_patched += 1
+            self._splice(tau, touched, new_a, new_b, seeds)
 
     def _endpoints_hold(
         self,
@@ -1021,215 +1107,96 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
             return bool(np.all(_support(adjacency, old, seeds, levels) >= need))
         return bool(np.all(mini.offsets(old, primary_side, tau, shift=1) <= old[mini.gids]))
 
-    def _full_level_offsets(
-        self, tau: int, primary_side: Side, frozen: "Optional[CSRBipartiteGraph]"
-    ) -> Dict[Vertex, int]:
-        """One level's offsets over the whole graph (the budget fallback)."""
-        if frozen is not None:
-            from repro.decomposition.csr_kernels import csr_offsets_fixed_primary
-            from repro.decomposition.offsets import offsets_dict_from_arrays
+    def _region_offsets(self, peel: _RegionPeel, primary_side: Side, tau: int) -> np.ndarray:
+        """One level/half's offsets of the subgraph ``peel``'s region induces, per id.
 
-            off_u, off_l = csr_offsets_fixed_primary(frozen, primary_side, tau)
-            return offsets_dict_from_arrays(frozen, off_u, off_l)
-        from repro.decomposition.offsets import alpha_offsets, beta_offsets
+        Every edge leaving the region counts as a neighbour at offset 0,
+        which supports nobody; ids outside the region read 0.
+        """
+        offsets = np.zeros(len(self._ids.handles), dtype=np.int64)
+        offsets[peel.gids] = peel.offsets(offsets, primary_side, tau)
+        return offsets
 
-        if primary_side is Side.UPPER:
-            return alpha_offsets(self._graph, tau, backend="dict")
-        return beta_offsets(self._graph, tau, backend="dict")
+    def _full_level_offsets(self, tau: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Both halves' offsets at one level over every id (the full re-peel)."""
+        peel = _RegionPeel(self._ids, np.arange(len(self._ids.handles), dtype=np.int64))
+        return (
+            self._region_offsets(peel, Side.UPPER, tau),
+            self._region_offsets(peel, Side.LOWER, tau),
+        )
 
-    def _apply_level_patch(
+    def _writable(self, key: Tuple[str, int], name: str) -> np.ndarray:
+        """Field ``name`` of level ``key``, copied first if it is still adopted."""
+        level = self._levels[key]
+        array = getattr(level, name)
+        if not array.flags.writeable:
+            array = np.array(array)
+            self._levels[key] = replace(level, **{name: array})
+        return array
+
+    def _splice(
         self,
         tau: int,
-        touched: Sequence[Vertex],
-        sa_new: Dict[Vertex, int],
-        sb_new: Dict[Vertex, int],
-        endpoints: Sequence[Vertex],
+        touched: np.ndarray,
+        new_a: np.ndarray,
+        new_b: np.ndarray,
+        seeds: np.ndarray,
     ) -> None:
-        """Splice one level's recomputed offsets into dicts and arrays.
+        """Write one level's recomputed offsets and rebuild the slices they reach.
 
         Most levels a peel touches end up unchanged, so the patch is driven
         by the vertices whose offsets actually moved: only they, their
         neighbours (whose sorted entries embed the moved offsets) and the
-        update's endpoints (whose adjacency changed) get their lists rebuilt,
-        spliced into the arrays and marked dirty in the journal.  Changed
-        vertices are always interior (the pinch verified the boundary), so
-        every rebuilt list stays inside the peeled region.
-
-        Contract: splice recomputed per-vertex entries and offsets of one level; vertices outside the patched set are untouched.
+        update's endpoints (whose adjacency changed) get their slices rebuilt
+        by :func:`level_slices`, spliced with
+        :func:`~repro.index.csr_build.patch_level_arrays` and marked dirty
+        in the journal.
         """
-        sa = self._alpha_offsets.setdefault(tau, {})
-        sb = self._beta_offsets.setdefault(tau, {})
-        alpha_lists = self._alpha_lists.setdefault(tau, {})
-        beta_lists = self._beta_lists.setdefault(tau, {})
-        graph = self._graph
+        from repro.index.csr_build import patch_level_arrays
 
-        changed: List[Vertex] = []
-        core_delta = 0
-        for vertex in touched:
-            new_a = sa_new[vertex]
-            new_b = sb_new[vertex]
-            if sa.get(vertex, 0) != new_a or sb.get(vertex, 0) != new_b or vertex not in sa:
-                changed.append(vertex)
-                core_delta += (new_a >= tau) - (sa.get(vertex, 0) >= tau)
-                sa[vertex] = new_a
-                sb[vertex] = new_b
-        self._core_sizes[tau] = self._core_sizes.get(tau, 0) + core_delta
-        if changed:
-            gids = [self._ids.ids[vertex] for vertex in changed]
-            self._level_offsets[("alpha", tau)][gids] = [sa[v] for v in changed]
-            self._level_offsets[("beta", tau)][gids] = [sb[v] for v in changed]
-
-        rebuild: Set[Vertex] = set(endpoints)
-        for vertex in changed:
-            rebuild.add(vertex)
-            other = vertex.side.other
-            rebuild.update(
-                Vertex(other, nbr_label)
-                for nbr_label in graph.neighbors(vertex.side, vertex.label)
+        alpha, beta = ("alpha", tau), ("beta", tau)
+        offsets_a, offsets_b = self._writable(alpha, "offsets"), self._writable(beta, "offsets")
+        moved = (offsets_a[touched] != new_a) | (offsets_b[touched] != new_b)
+        changed = touched[moved]
+        offsets_a[changed] = new_a[moved]
+        offsets_b[changed] = new_b[moved]
+        _, nbrs = self._ids.gather(changed)
+        rebuild = np.unique(np.concatenate((seeds, changed, nbrs)))
+        dirty = rebuild.tolist()
+        for key, entry_offsets, strict in ((alpha, offsets_a, False), (beta, offsets_b, True)):
+            counts, ev, ew, eo = level_slices(
+                self._ids, rebuild, offsets_a, entry_offsets, tau, strict
             )
-
-        for vertex in rebuild:
-            if sa.get(vertex, 0) < tau:
-                alpha_lists.pop(vertex, None)
-                beta_lists.pop(vertex, None)
-                continue
-            other = vertex.side.other
-            alpha_entries: List[Tuple[Vertex, float, int]] = []
-            beta_entries: List[Tuple[Vertex, float, int]] = []
-            for nbr_label, weight in graph.neighbors(vertex.side, vertex.label).items():
-                nbr = Vertex(other, nbr_label)
-                nbr_sa = sa.get(nbr, 0)
-                if nbr_sa >= tau:
-                    alpha_entries.append((nbr, weight, nbr_sa))
-                nbr_sb = sb.get(nbr, 0)
-                if nbr_sb > tau:
-                    beta_entries.append((nbr, weight, nbr_sb))
-            alpha_entries.sort(key=lambda entry: -entry[2])
-            beta_entries.sort(key=lambda entry: -entry[2])
-            alpha_lists[vertex] = alpha_entries
-            if beta_entries:
-                beta_lists[vertex] = beta_entries
-            else:
-                beta_lists.pop(vertex, None)
-
-        if not rebuild:
-            return
-        rebuild_list = list(rebuild)
-        for half in ("alpha", "beta"):
-            self._journal.mark_dirty((half, tau), rebuild_list)
-        self._patch_arrays(tau, rebuild_list, sa, sb, alpha_lists, beta_lists)
-
-    def _patch_arrays(
-        self,
-        tau: int,
-        touched: Sequence[Vertex],
-        sa: Dict[Vertex, int],
-        sb: Dict[Vertex, int],
-        alpha_lists: AdjacencyLists,
-        beta_lists: AdjacencyLists,
-    ) -> None:
-        """Splice the patched vertices into any materialised level arrays."""
-        path = self._array_path
-        if path is None:
-            return
-        from repro.index.csr_build import entries_to_patch_arrays, patch_level_arrays
-
-        for half, offsets, lists in (
-            ("alpha", sa, alpha_lists),
-            ("beta", sb, beta_lists),
-        ):
-            key = (half, tau)
-            if not path.has_level(key):
-                continue  # will be converted lazily from the patched dicts
-            updates: Dict[int, List[Tuple[int, float, int]]] = {}
-            offset_gids: List[int] = []
-            offset_values: List[int] = []
-            encodable = True
-            for vertex in touched:
-                gid = path.global_id(vertex)
-                if gid is None:  # pragma: no cover - new vertices drop the path
-                    encodable = False
-                    break
-                encoded: List[Tuple[int, float, int]] = []
-                for nbr, weight, offset in lists.get(vertex) or ():
-                    nbr_gid = path.global_id(nbr)
-                    if nbr_gid is None:  # pragma: no cover - same guard
-                        encodable = False
-                        break
-                    encoded.append((nbr_gid, weight, offset))
-                if not encodable:
-                    break
-                updates[gid] = encoded
-                offset_gids.append(gid)
-                offset_values.append(offsets.get(vertex, 0))
-            if not encodable:
-                path.drop_level(key)
-                self._arrays_dropped += 1
-                continue
-            gids, counts, ev, ew, eo = entries_to_patch_arrays(updates)
-            path.set_level(
-                key,
-                patch_level_arrays(
-                    path.level(key),
-                    gids,
-                    counts,
-                    ev,
-                    ew,
-                    eo,
-                    np.array(offset_gids, dtype=np.int64),
-                    np.array(offset_values, dtype=np.int64),
-                ),
+            self._levels[key] = patch_level_arrays(
+                self._levels[key], rebuild, counts, ev, ew, eo, _EMPTY_IDS, _EMPTY_IDS
             )
-            self._arrays_patched += 1
+            self._journal.mark_dirty(key, dirty)
 
-    def _reweight_entries(
-        self, upper_label: Hashable, lower_label: Hashable, weight: float
-    ) -> None:
+    def _reweight_entries(self, gu: int, gv: int, weight: float) -> None:
         """Rewrite the two mirrored entry weights of one edge at every level."""
-        u = Vertex(Side.UPPER, upper_label)
-        v = Vertex(Side.LOWER, lower_label)
-        for tau in range(1, self._delta + 1):
-            for lists in (self._alpha_lists.get(tau), self._beta_lists.get(tau)):
-                if not lists:
-                    continue
-                for owner, other in ((u, v), (v, u)):
-                    entries = lists.get(owner)
-                    if not entries:
-                        continue
-                    for i, (nbr, _, offset) in enumerate(entries):
-                        if nbr == other:
-                            entries[i] = (nbr, weight, offset)
-                            break
-            for half in ("alpha", "beta"):
-                self._journal.mark_dirty((half, tau), (u, v))
-        path = self._array_path
-        if path is None:
-            return
-        gid_u, gid_v = path.global_id(u), path.global_id(v)
-        if gid_u is None or gid_v is None:  # pragma: no cover - guarded upstream
-            return
-        for key in path.level_keys():
-            arrays = path.level(key)
-            if not arrays.entry_weight.flags.writeable:  # pragma: no cover
-                path.drop_level(key)  # a read-only, snapshot-backed level
-                self._arrays_dropped += 1
-                continue
-            for owner, other in ((gid_u, gid_v), (gid_v, gid_u)):
+        for key, level in self._levels.items():
+            found = []
+            for owner, other in ((gu, gv), (gv, gu)):
                 # One slice per endpoint, searched as a list: no numpy call
                 # per entry, and cheaper than a vectorised compare on the
                 # short slices most vertices have.
-                lo, hi = arrays.indptr[owner : owner + 2].tolist()
-                nbrs = arrays.entry_vertex[lo:hi].tolist()
+                lo, hi = level.indptr[owner : owner + 2].tolist()
+                nbrs = level.entry_vertex[lo:hi].tolist()
                 if other in nbrs:
-                    arrays.entry_weight[lo + nbrs.index(other)] = weight
-            self._arrays_patched += 1
+                    found.append(lo + nbrs.index(other))
+            if not found:
+                continue
+            self._writable(key, "entry_weight")[found] = weight
+            self._journal.mark_dirty(key, (gu, gv))
 
     # ------------------------------------------------------------------ #
     # incremental degeneracy
     # ------------------------------------------------------------------ #
-    def _adjust_degeneracy(self, endpoints: Sequence[Vertex], can_grow: bool) -> None:
-        # Shrink: the patched core sizes say whether the (δ,δ)-core survived.
-        while self._delta > 0 and self._core_sizes.get(self._delta, 0) <= 0:
+    def _adjust_degeneracy(self, seeds: np.ndarray, can_grow: bool) -> None:
+        # Shrink: level δ exists while its (δ,δ)-core is non-empty.
+        while self._delta > 0 and not np.any(
+            self._levels[("alpha", self._delta)].offsets >= self._delta
+        ):
             self._drop_level(self._delta)
             self._delta -= 1
 
@@ -1243,63 +1210,56 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
             if self._delta == 0:
                 if self._graph.num_edges == 0:
                     return
-                candidates: Optional[Set[Vertex]] = None
+                candidates = np.arange(len(self._ids.handles), dtype=np.int64)
             else:
-                offsets = self._alpha_offsets[self._delta]
-                if len(endpoints) < 2 or any(
-                    offsets.get(vertex, 0) < self._delta for vertex in endpoints
-                ):
+                offsets = self._levels[("alpha", self._delta)].offsets
+                if seeds.shape[0] < 2 or np.any(offsets[seeds] < self._delta):
                     return
-                candidates = {
-                    vertex
-                    for vertex, offset in offsets.items()
-                    if offset >= self._delta
-                }
-            scope = (
-                self._graph
-                if candidates is None
-                else induced_subgraph(self._graph, candidates)
-            )
-            core = abcore_vertices(scope, next_tau, next_tau, backend="dict")
-            if not core:
+                candidates = np.flatnonzero(offsets >= self._delta)
+            peel = _RegionPeel(self._ids, candidates)
+            if not np.any(self._region_offsets(peel, Side.UPPER, next_tau) >= next_tau):
                 return
             self._build_fresh_level(next_tau)
             self._delta = next_tau
 
     def _drop_level(self, tau: int) -> None:
-        self._alpha_lists.pop(tau, None)
-        self._beta_lists.pop(tau, None)
-        self._alpha_offsets.pop(tau, None)
-        self._beta_offsets.pop(tau, None)
-        self._core_sizes.pop(tau, None)
-        self._level_offsets.pop(("alpha", tau), None)
-        self._level_offsets.pop(("beta", tau), None)
+        del self._levels[("alpha", tau)], self._levels[("beta", tau)]
         self._levels_dropped += 1
-        path = self._array_path
-        if path is not None:
-            path.drop_level(("alpha", tau))
-            path.drop_level(("beta", tau))
 
     def _build_fresh_level(self, tau: int) -> None:
         """A level the maintained index did not have yet: build it in full."""
-        self._build_level(tau)
-        self._core_sizes[tau] = sum(
-            1 for offset in self._alpha_offsets[tau].values() if offset >= tau
-        )
-        self._levels_built += 1
-        self._level_offsets[("alpha", tau)] = self._offset_array(self._alpha_offsets[tau])
-        self._level_offsets[("beta", tau)] = self._offset_array(self._beta_offsets[tau])
-        for half in ("alpha", "beta"):
+        from repro.index.csr_build import LevelArrays
+
+        offsets_a, offsets_b = self._full_level_offsets(tau)
+        everyone = np.arange(offsets_a.shape[0], dtype=np.int64)
+        for half, entry_offsets, strict in (
+            ("alpha", offsets_a, False),
+            ("beta", offsets_b, True),
+        ):
+            counts, ev, ew, eo = level_slices(
+                self._ids, everyone, offsets_a, entry_offsets, tau, strict
+            )
+            indptr = np.zeros(everyone.shape[0] + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            self._levels[(half, tau)] = LevelArrays(
+                self._ids.num_upper, indptr, ev, ew, eo, entry_offsets
+            )
             self._journal.mark_full((half, tau))
-        # The fresh level's arrays are converted lazily from the new dicts.
+        self._levels_built += 1
 
     # ------------------------------------------------------------------ #
     def stats(self) -> IndexStats:
-        stats = super().stats()
-        stats.name = "Idelta-dynamic"
-        patch_attempts = self._arrays_patched + self._arrays_invalidated + self._arrays_dropped
-        stats.extra.update(
-            {
+        from repro.index.csr_build import level_sizes
+
+        entries, lists = level_sizes(self._levels)
+        return IndexStats(
+            name="Idelta-dynamic",
+            entries=entries,
+            adjacency_lists=lists,
+            build_seconds=self._build_seconds,
+            extra={
+                "delta": float(self._delta),
+                **self._build_extra,
                 "maintenance_seconds": self._maintenance_seconds,
                 "updates_applied": float(self._updates_applied),
                 "levels_patched": float(self._levels_patched),
@@ -1313,18 +1273,11 @@ class DynamicDegeneracyIndex(DegeneracyIndex):
                     if self._regions_peeled
                     else 0.0
                 ),
-                "arrays_patched": float(self._arrays_patched),
-                "arrays_invalidated": float(self._arrays_invalidated),
-                "arrays_dropped": float(self._arrays_dropped),
-                "arrays_patch_hit_rate": (
-                    self._arrays_patched / patch_attempts if patch_attempts else 1.0
-                ),
                 "chain_length": float(self._journal.base_sequence),
                 "compactions": float(self._compactions),
                 "deltas_folded": float(self._deltas_folded),
-            }
+            },
         )
-        return stats
 
     def note_compaction(self, folded_deltas: int) -> None:
         """Record an auto-compaction of this index's snapshot directory.

@@ -17,6 +17,9 @@ arrays instead of per-edge ``add_edge`` calls.  :class:`ArrayQueryPath`
 bundles the levels of one index with the interned id space and a reusable
 visited bitmap, which is what makes batched query streams cheap: the index is
 "frozen" into arrays once and every retrieval allocates only its answer.
+:class:`ArrayLevelIndex` holds the index-level query verbs (routing,
+membership, single and batched retrieval, significant search) that the
+snapshot index and the maintained index share over their level arrays.
 """
 
 from __future__ import annotations
@@ -26,8 +29,11 @@ from typing import TYPE_CHECKING, Any, Dict, Hashable, Iterable, List, Optional,
 
 import numpy as np
 
+from repro.exceptions import EmptyCommunityError, InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex
 from repro.graph.csr import _graph_from_edge_arrays
+from repro.index.base import apply_batch_policy
+from repro.utils.validation import check_epsilon, check_query_membership, check_thresholds
 
 if TYPE_CHECKING:
     from repro.index.csr_build import LevelArrays
@@ -39,6 +45,7 @@ __all__ = [
     "bfs_edges_over_arrays",
     "bfs_over_arrays",
     "ArrayQueryPath",
+    "ArrayLevelIndex",
 ]
 
 # (neighbour handle, edge weight, neighbour offset at this index level)
@@ -231,9 +238,11 @@ class ArrayQueryPath:
     first), the registered per-level :class:`~repro.index.csr_build.LevelArrays`
     keyed by an index-specific level key, and one reusable visited bitmap.
     Levels are either registered natively by the CSR construction backend
-    (:meth:`set_level`) or converted lazily from the dict adjacency lists on
+    (:meth:`set_level`), converted lazily from the dict adjacency lists on
     first use (:meth:`ensure_level`), so only the levels a query stream
-    actually touches pay the conversion.
+    actually touches pay the conversion, or shared: ``levels`` adopts the
+    owner's own level dict, so a maintained index's patches are visible
+    without any registration.
     """
 
     __slots__ = (
@@ -251,6 +260,7 @@ class ArrayQueryPath:
         upper_labels: Iterable[Hashable],
         lower_labels: Iterable[Hashable],
         global_ids: Optional[Dict[Vertex, int]] = None,
+        levels: Optional[Dict[Hashable, "LevelArrays"]] = None,
     ) -> None:
         upper_labels = list(upper_labels)
         lower_labels = list(lower_labels)
@@ -270,11 +280,8 @@ class ArrayQueryPath:
         self._upper_label_arr[:] = upper_labels
         self._lower_label_arr = np.empty(len(lower_labels), dtype=object)
         self._lower_label_arr[:] = lower_labels
-        self._levels: Dict[Hashable, object] = {}
+        self._levels: Dict[Hashable, object] = {} if levels is None else levels
         self._visited = np.zeros(self.num_vertices, dtype=bool)
-
-    def has_level(self, key: Hashable) -> bool:
-        return key in self._levels
 
     def level(self, key: Hashable) -> "LevelArrays":
         """The registered :class:`~repro.index.csr_build.LevelArrays` of ``key``."""
@@ -284,25 +291,13 @@ class ArrayQueryPath:
         """True when ``vertex`` belongs to the interned id space."""
         return vertex in self._global_ids
 
-    def global_id(self, vertex: Vertex) -> Optional[int]:
-        """The interned global id of ``vertex`` (``None`` when unknown)."""
-        return self._global_ids.get(vertex)
-
-    def global_id_map(self) -> Dict[Vertex, int]:
-        """The full ``{vertex: global id}`` mapping of this path's id space."""
-        return self._global_ids
-
     def level_keys(self) -> List[Hashable]:
-        """The keys of every materialised level (patch targets)."""
+        """The keys of every materialised level."""
         return list(self._levels)
 
     def set_level(self, key: Hashable, arrays: "LevelArrays") -> None:
-        """Register a natively built level (or swap in a patched one)."""
+        """Register a natively built level."""
         self._levels[key] = arrays
-
-    def drop_level(self, key: Hashable) -> None:
-        """Forget a level (it vanished or must be rebuilt lazily)."""
-        self._levels.pop(key, None)
 
     def ensure_level(
         self,
@@ -459,3 +454,186 @@ class ArrayQueryPath:
         return _graph_from_edge_arrays(
             src, dst, weight, self._upper_label_arr, self._lower_label_arr, name
         )
+
+
+class ArrayLevelIndex:
+    """Queries answered over an index's flat per-level arrays.
+
+    The query half shared by the array-backed indexes — the read-only
+    :class:`~repro.serving.snapshot.SnapshotIndex` and the maintained
+    :class:`~repro.index.maintenance.DynamicDegeneracyIndex`.  Semantics
+    match :class:`~repro.index.degeneracy_index.DegeneracyIndex`: α ≤ β
+    answers from the α-half at level α with requirement β, mirrored
+    otherwise, with the same errors and the same answer graphs.  A host
+    class provides ``_levels`` (``{(half, τ): LevelArrays}``), ``_delta``,
+    :meth:`query_path` over those levels, ``global_handles()`` (the vertex
+    of every id) and ``_contains_vertex(vertex)``.
+    """
+
+    _levels: Dict[Tuple[str, int], "LevelArrays"]
+    _delta: int
+
+    @property
+    def native_array_levels(self) -> bool:
+        """Always True: the levels live as flat arrays by definition."""
+        return True
+
+    def level_arrays(self) -> Dict[Tuple[str, int], "LevelArrays"]:
+        """The per-level flat arrays, keyed ``(half, τ)``."""
+        return dict(self._levels)
+
+    @staticmethod
+    def _route(alpha: int, beta: int) -> Tuple[Tuple[str, int], int]:
+        if alpha <= beta:
+            return ("alpha", alpha), beta
+        return ("beta", beta), alpha
+
+    def _route_checked(
+        self, query: Vertex, alpha: int, beta: int
+    ) -> "Tuple[ArrayQueryPath, Tuple[str, int], int]":
+        """Validate a query and resolve its level key and offset requirement.
+
+        The shared gate of both answer forms (graph and wire edges): raises
+        exactly what :meth:`DegeneracyIndex.community` raises for invalid
+        thresholds, unknown query vertices and queries outside their core.
+        """
+        check_thresholds(alpha, beta)
+        path = self.query_path()
+        check_query_membership(self._contains_vertex, query)
+        if min(alpha, beta) > self._delta:
+            raise EmptyCommunityError(query, alpha, beta)
+        key, requirement = self._route(alpha, beta)
+        if path.offset_of(key, query) < requirement:
+            raise EmptyCommunityError(query, alpha, beta)
+        return path, key, requirement
+
+    def _answer(
+        self, query: Vertex, alpha: int, beta: int, cache: Optional[Dict] = None
+    ) -> BipartiteGraph:
+        path, key, requirement = self._route_checked(query, alpha, beta)
+        return path.community(
+            key,
+            query,
+            requirement,
+            name=f"C({alpha},{beta})[{query.label!r}]",
+            cache=cache,
+        )
+
+    def community(self, query: Vertex, alpha: int, beta: int) -> BipartiteGraph:
+        """``Qopt`` over the flat level arrays."""
+        return self._answer(query, alpha, beta)
+
+    def batch_community(
+        self,
+        queries: Iterable[Tuple[Vertex, int, int]],
+        on_empty: str = "raise",
+    ) -> List[Optional[BipartiteGraph]]:
+        """Batched ``Qopt`` with per-batch component memoisation."""
+        cache: Dict = {}
+        return apply_batch_policy(
+            queries,
+            lambda query, alpha, beta: self._answer(query, alpha, beta, cache=cache),
+            on_empty,
+        )
+
+    def _answer_edges(
+        self, query: Vertex, alpha: int, beta: int, cache: Optional[Dict] = None
+    ) -> "Tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Like :meth:`_answer` but returning the raw wire edge arrays."""
+        path, key, requirement = self._route_checked(query, alpha, beta)
+        return path.community_edges(key, query, requirement, cache=cache)
+
+    def batch_community_edges(
+        self,
+        queries: Iterable[Tuple[Vertex, int, int]],
+        on_empty: str = "raise",
+        cache: Optional[Dict] = None,
+    ) -> List:
+        """Batched ``Qopt`` in compact wire form.
+
+        Each answer is the ``(src upper ids, dst lower ids, weights)`` triple
+        of :meth:`ArrayQueryPath.community_edges` instead of a materialised
+        graph; queries hitting the same component at the same requirement
+        share the *same* array objects.  ``cache`` lets a caller carry the
+        component memoisation across calls (the serving workers keep one per
+        batch, so shards of the same stream never re-traverse a component).
+        This is the worker-side half of the multi-process server protocol —
+        assembling the arrays with the index's intern table reproduces
+        exactly what :meth:`batch_community` returns.
+        """
+        if cache is None:
+            cache = {}
+        return apply_batch_policy(
+            queries,
+            lambda query, alpha, beta: self._answer_edges(
+                query, alpha, beta, cache=cache
+            ),
+            on_empty,
+        )
+
+    def batch_significant_edges(
+        self,
+        queries: Iterable[Tuple[Vertex, int, int]],
+        method: str = "auto",
+        epsilon: float = 2.0,
+        on_empty: str = "raise",
+        cache: Optional[Dict] = None,
+    ) -> List:
+        """Array-native significant search over the flat level arrays.
+
+        The twin of :meth:`DegeneracyIndex.batch_significant_edges`: each
+        answer is a ``(edge triple, resolved method, search-space edge
+        count)`` tuple, the community retrieved and peeled entirely over
+        flat arrays.  This is what serving workers run for ``"significant"``
+        shards — the wire triples pickle as flat buffers and the driver
+        wraps them into lazy :class:`~repro.serving.wire.DeferredCommunity`
+        results, so no dict graph is materialised per community anywhere in
+        the pipeline.
+        """
+        from repro.search import resolve_scs_method
+
+        if method not in ("peel", "expand", "binary", "auto"):
+            raise InvalidParameterError(
+                f"unknown method {method!r}; expected one of "
+                "('peel', 'expand', 'binary', 'auto')"
+            )
+        check_epsilon(epsilon)
+        if cache is None:
+            cache = {}
+
+        def answer_one(
+            query: Vertex, alpha: int, beta: int
+        ) -> "Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], str, int]":
+            path, key, requirement = self._route_checked(query, alpha, beta)
+            resolved = resolve_scs_method(method, alpha, beta, self._delta)
+            edges, space = path.significant_edges(
+                key,
+                query,
+                requirement,
+                alpha,
+                beta,
+                method=resolved,
+                epsilon=epsilon,
+                cache=cache,
+            )
+            return edges, resolved, space
+
+        return apply_batch_policy(queries, answer_one, on_empty)
+
+    def contains(self, vertex: Vertex, alpha: int, beta: int) -> bool:
+        """True when ``vertex`` belongs to the (α,β)-core."""
+        check_thresholds(alpha, beta)
+        if min(alpha, beta) > self._delta:
+            return False
+        key, requirement = self._route(alpha, beta)
+        return self.query_path().offset_of(key, vertex) >= requirement
+
+    def vertices_in_core(self, alpha: int, beta: int) -> List[Vertex]:
+        """All vertices of the (α,β)-core, computed from the offset array."""
+        check_thresholds(alpha, beta)
+        if min(alpha, beta) > self._delta:
+            return []
+        key, requirement = self._route(alpha, beta)
+        offsets = self._levels[key].offsets
+        handles = self.global_handles()
+        return [handles[gid] for gid in np.flatnonzero(offsets >= requirement).tolist()]

@@ -99,7 +99,7 @@ def _fold(
 ) -> "Tuple[CSRBipartiteGraph, Dict[Tuple[str, int], LevelArrays], Dict]":
     """The replayed chain as a base: graph CSR, remapped levels, index record."""
     from repro.graph.csr import freeze
-    from repro.index.csr_build import remap_level_arrays, retained_lists
+    from repro.index.csr_build import level_sizes, remap_level_arrays
 
     csr = freeze(replayed.graph)
     global_ids = csr.global_id_map()
@@ -123,11 +123,7 @@ def _fold(
     }
     stats = replayed.stats()
     record = stats.as_dict()
-    record["entries"] = sum(level.num_entries for level in levels.values())
-    record["adjacency_lists"] = sum(
-        int(np.count_nonzero(retained_lists(level, tau, half == "alpha")))
-        for (half, tau), level in levels.items()
-    )
+    record["entries"], record["adjacency_lists"] = level_sizes(levels)
     record["delta"] = float(replayed.delta)
     index_info = {"name": stats.name, "delta": replayed.delta, "stats": record}
     return csr, levels, index_info

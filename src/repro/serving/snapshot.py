@@ -57,18 +57,10 @@ from typing import (
 
 import numpy as np
 
-from repro.exceptions import (
-    EmptyCommunityError,
-    IndexConsistencyError,
-    InvalidParameterError,
-)
+from repro.exceptions import IndexConsistencyError, InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex
-from repro.index.base import CommunityIndex, IndexStats, apply_batch_policy
-from repro.utils.validation import (
-    check_epsilon,
-    check_query_membership,
-    check_thresholds,
-)
+from repro.index.base import CommunityIndex, IndexStats
+from repro.index.traversal import ArrayLevelIndex
 
 if TYPE_CHECKING:
     from repro.graph.csr import CSRBipartiteGraph
@@ -305,7 +297,9 @@ def save_snapshot_delta(index: "DynamicDegeneracyIndex", directory: PathLike) ->
     rewrites a full base).  The delta stores, in the *base's* global id
     space: per dirty level the patched vertices' entry slices and offsets
     (or whole replacement arrays for levels the base never had), the applied
-    graph operations, and the net set of removed vertices.  The delta
+    graph operations, and the net set of removed vertices.  The slices are
+    cut straight out of the maintained level arrays and moved onto base ids
+    with one gather through :meth:`MaintenanceJournal.base_id_map`.  The delta
     manifest is written last, after its data file, so a crashed append never
     leaves a readable-but-dangling chain link.
     """
@@ -317,11 +311,13 @@ def save_snapshot_delta(index: "DynamicDegeneracyIndex", directory: PathLike) ->
             f"snapshot at {directory} is not the base this index was saved "
             "against; write a fresh snapshot instead"
         )
-    from repro.index.csr_build import entries_to_patch_arrays, level_arrays_from_dicts
+    from repro.index.csr_build import gather_slices, remap_level_arrays
     from repro.index.serialization import SNAPSHOT_VERSION, _MAGIC, index_metadata
 
     sequence = journal.base_sequence + 1
-    global_ids = journal.base_global_ids
+    handles = index.global_handles()
+    base_ids = journal.base_id_map(handles)
+    levels = index.level_arrays()
     delta_value = int(index.delta)
     full_keys = []
     patch_keys = []
@@ -333,53 +329,43 @@ def save_snapshot_delta(index: "DynamicDegeneracyIndex", directory: PathLike) ->
             elif journal.dirty.get(key):
                 patch_keys.append(key)
 
-    def stores(half: str) -> Tuple[Dict[int, Dict], Dict[int, Dict]]:
-        if half == "alpha":
-            return index._alpha_offsets, index._alpha_lists
-        return index._beta_offsets, index._beta_lists
-
     def payloads() -> Iterator[Tuple[str, object]]:
+        # Every base vertex has a maintained id, so inverting the map covers
+        # the base id space.
+        alive = np.flatnonzero(base_ids >= 0)
+        old_ids = np.empty(journal.base_num_vertices, dtype=np.int64)
+        old_ids[base_ids[alive]] = alive
         for half, tau in full_keys:
-            offsets, lists = stores(half)
-            arrays = level_arrays_from_dicts(
-                offsets.get(tau, {}),
-                lists.get(tau, {}),
-                global_ids,
-                journal.base_num_upper,
-                journal.base_num_vertices,
+            arrays = remap_level_arrays(
+                levels[(half, tau)], old_ids, base_ids, journal.base_num_upper
             )
             for field in _LEVEL_FIELDS:
                 yield f"level/{half}/{tau}/{field}", getattr(arrays, field)
         for half, tau in patch_keys:
-            offsets, lists = stores(half)
-            level_offsets = offsets.get(tau, {})
-            level_lists = lists.get(tau, {})
-            updates = {}
-            offset_values = {}
-            for vertex in journal.dirty[(half, tau)]:
-                gid = global_ids.get(vertex)
-                if gid is None:  # pragma: no cover - guarded by journal.compatible
-                    raise IndexConsistencyError(
-                        f"vertex {vertex!r} has no id in the base snapshot at "
-                        f"{directory}; write a fresh snapshot instead"
-                    )
-                updates[gid] = [
-                    (global_ids[nbr], weight, offset)
-                    for nbr, weight, offset in level_lists.get(vertex) or ()
-                ]
-                offset_values[gid] = level_offsets.get(vertex, 0)
-            gids, counts, ev, ew, eo = entries_to_patch_arrays(updates)
+            dirty = np.fromiter(journal.dirty[(half, tau)], dtype=np.int64)
+            gids = base_ids[dirty]
+            if bool((gids < 0).any()):  # pragma: no cover - guarded by journal.compatible
+                raise IndexConsistencyError(
+                    f"an updated vertex has no id in the base snapshot at "
+                    f"{directory}; write a fresh snapshot instead"
+                )
+            order = np.argsort(gids)
+            level = levels[(half, tau)]
+            counts, ev, ew, eo = gather_slices(level, dirty[order])
             prefix = f"patch/{half}/{tau}"
-            yield f"{prefix}/gids", gids
+            yield f"{prefix}/gids", gids[order]
             yield f"{prefix}/counts", counts
-            yield f"{prefix}/entry_vertex", ev
+            yield f"{prefix}/entry_vertex", base_ids[ev]
             yield f"{prefix}/entry_weight", ew
             yield f"{prefix}/entry_offset", eo
-            yield f"{prefix}/offset_values", np.array(
-                [offset_values[g] for g in gids.tolist()], dtype=np.int64
+            yield f"{prefix}/offset_values", np.asarray(
+                level.offsets[dirty[order]], dtype=np.int64
             )
         yield "ops", ("pickle", list(journal.ops))
-        yield "removed", ("pickle", sorted(journal.removed, key=repr))
+        yield "removed", (
+            "pickle",
+            sorted((handles[gid] for gid in journal.removed), key=repr),
+        )
 
     data_name = _delta_data_name(sequence)
     segments, size = _write_segment_file(directory / data_name, payloads())
@@ -784,14 +770,14 @@ def _read_labels(directory: Path, manifest: Dict) -> Dict[str, List[Hashable]]:
 # --------------------------------------------------------------------------- #
 # the array-only index
 # --------------------------------------------------------------------------- #
-class SnapshotIndex(CommunityIndex):
+class SnapshotIndex(ArrayLevelIndex, CommunityIndex):
     """A read-only community index answering queries straight off a snapshot.
 
     Query semantics are identical to the :class:`DegeneracyIndex` the snapshot
-    was written from — same routing (α ≤ β answers from the α-half at level α
-    with requirement β, mirrored otherwise), same errors, same answer graphs —
-    but every retrieval runs :func:`~repro.index.traversal.bfs_over_arrays`
-    over the memory-mapped level segments.  The indexed graph itself is only
+    was written from (the shared :class:`~repro.index.traversal.ArrayLevelIndex`
+    queries), but every retrieval runs
+    :func:`~repro.index.traversal.bfs_over_arrays` over the memory-mapped
+    level segments.  The indexed graph itself is only
     thawed (into a mutable :class:`BipartiteGraph`) if something asks for it.
     """
 
@@ -841,11 +827,6 @@ class SnapshotIndex(CommunityIndex):
         return str(self._manifest.get("backend", "csr"))
 
     @property
-    def native_array_levels(self) -> bool:
-        """Always True: snapshot levels live as mapped arrays by definition."""
-        return True
-
-    @property
     def snapshot_id(self) -> str:
         """The base snapshot's identity (delta segments must match it)."""
         return str(self._manifest.get("snapshot_id", ""))
@@ -872,10 +853,6 @@ class SnapshotIndex(CommunityIndex):
                 Vertex(Side.UPPER, label) for label in self._upper_labels
             ] + [Vertex(Side.LOWER, label) for label in self._lower_labels]
         return self._global_handles
-
-    def level_arrays(self) -> Dict[Tuple[str, int], object]:
-        """The per-level flat arrays, keyed ``(half, τ)`` (deltas applied)."""
-        return dict(self._levels)
 
     @property
     def graph(self) -> BipartiteGraph:
@@ -931,167 +908,9 @@ class SnapshotIndex(CommunityIndex):
             self._array_path = path
         return self._array_path
 
-    # ------------------------------------------------------------------ #
-    # querying
-    # ------------------------------------------------------------------ #
-    def _route(self, alpha: int, beta: int) -> Tuple[Tuple[str, int], int]:
-        if alpha <= beta:
-            return ("alpha", alpha), beta
-        return ("beta", beta), alpha
-
     def _contains_vertex(self, vertex: Vertex) -> bool:
         """Base-id-space membership minus the vertices deltas removed."""
         return self.query_path().has_vertex(vertex) and vertex not in self._removed
-
-    def _route_checked(
-        self, query: Vertex, alpha: int, beta: int
-    ) -> "Tuple[ArrayQueryPath, Tuple[str, int], int]":
-        """Validate a query and resolve its level key and offset requirement.
-
-        The shared gate of both answer forms (graph and wire edges): raises
-        exactly what :meth:`DegeneracyIndex.community` raises for invalid
-        thresholds, unknown query vertices and queries outside their core.
-        """
-        check_thresholds(alpha, beta)
-        path = self.query_path()
-        check_query_membership(self._contains_vertex, query)
-        if min(alpha, beta) > self._delta:
-            raise EmptyCommunityError(query, alpha, beta)
-        key, requirement = self._route(alpha, beta)
-        if path.offset_of(key, query) < requirement:
-            raise EmptyCommunityError(query, alpha, beta)
-        return path, key, requirement
-
-    def _answer(
-        self, query: Vertex, alpha: int, beta: int, cache: Optional[Dict] = None
-    ) -> BipartiteGraph:
-        path, key, requirement = self._route_checked(query, alpha, beta)
-        return path.community(
-            key,
-            query,
-            requirement,
-            name=f"C({alpha},{beta})[{query.label!r}]",
-            cache=cache,
-        )
-
-    def community(self, query: Vertex, alpha: int, beta: int) -> BipartiteGraph:
-        """``Qopt`` over the mapped level arrays."""
-        return self._answer(query, alpha, beta)
-
-    def batch_community(
-        self,
-        queries: Iterable[Tuple[Vertex, int, int]],
-        on_empty: str = "raise",
-    ) -> List[Optional[BipartiteGraph]]:
-        """Batched ``Qopt`` with per-batch component memoisation."""
-        cache: Dict = {}
-        return apply_batch_policy(
-            queries,
-            lambda query, alpha, beta: self._answer(query, alpha, beta, cache=cache),
-            on_empty,
-        )
-
-    def _answer_edges(
-        self, query: Vertex, alpha: int, beta: int, cache: Optional[Dict] = None
-    ) -> "Tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Like :meth:`_answer` but returning the raw wire edge arrays."""
-        path, key, requirement = self._route_checked(query, alpha, beta)
-        return path.community_edges(key, query, requirement, cache=cache)
-
-    def batch_community_edges(
-        self,
-        queries: Iterable[Tuple[Vertex, int, int]],
-        on_empty: str = "raise",
-        cache: Optional[Dict] = None,
-    ) -> List:
-        """Batched ``Qopt`` in compact wire form.
-
-        Each answer is the ``(src upper ids, dst lower ids, weights)`` triple
-        of :meth:`ArrayQueryPath.community_edges` instead of a materialised
-        graph; queries hitting the same component at the same requirement
-        share the *same* array objects.  ``cache`` lets a caller carry the
-        component memoisation across calls (the serving workers keep one per
-        batch, so shards of the same stream never re-traverse a component).
-        This is the worker-side half of the multi-process server protocol —
-        assembling the arrays with the snapshot's intern table reproduces
-        exactly what :meth:`batch_community` returns.
-        """
-        if cache is None:
-            cache = {}
-        return apply_batch_policy(
-            queries,
-            lambda query, alpha, beta: self._answer_edges(
-                query, alpha, beta, cache=cache
-            ),
-            on_empty,
-        )
-
-    def batch_significant_edges(
-        self,
-        queries: Iterable[Tuple[Vertex, int, int]],
-        method: str = "auto",
-        epsilon: float = 2.0,
-        on_empty: str = "raise",
-        cache: Optional[Dict] = None,
-    ) -> List:
-        """Array-native significant search over the mapped level arrays.
-
-        The snapshot twin of
-        :meth:`DegeneracyIndex.batch_significant_edges`: each answer is a
-        ``(edge triple, resolved method, search-space edge count)`` tuple, the
-        community retrieved and peeled entirely over flat arrays.  This is
-        what serving workers run for ``"significant"`` shards — the wire
-        triples pickle as flat buffers and the driver wraps them into lazy
-        :class:`~repro.serving.wire.DeferredCommunity` results, so no dict
-        graph is materialised per community anywhere in the pipeline.
-        """
-        from repro.search import resolve_scs_method
-
-        if method not in ("peel", "expand", "binary", "auto"):
-            raise InvalidParameterError(
-                f"unknown method {method!r}; expected one of "
-                "('peel', 'expand', 'binary', 'auto')"
-            )
-        check_epsilon(epsilon)
-        if cache is None:
-            cache = {}
-
-        def answer_one(
-            query: Vertex, alpha: int, beta: int
-        ) -> "Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], str, int]":
-            path, key, requirement = self._route_checked(query, alpha, beta)
-            resolved = resolve_scs_method(method, alpha, beta, self._delta)
-            edges, space = path.significant_edges(
-                key,
-                query,
-                requirement,
-                alpha,
-                beta,
-                method=resolved,
-                epsilon=epsilon,
-                cache=cache,
-            )
-            return edges, resolved, space
-
-        return apply_batch_policy(queries, answer_one, on_empty)
-
-    def contains(self, vertex: Vertex, alpha: int, beta: int) -> bool:
-        """True when ``vertex`` belongs to the (α,β)-core."""
-        check_thresholds(alpha, beta)
-        if min(alpha, beta) > self._delta:
-            return False
-        key, requirement = self._route(alpha, beta)
-        return self.query_path().offset_of(key, vertex) >= requirement
-
-    def vertices_in_core(self, alpha: int, beta: int) -> List[Vertex]:
-        """All vertices of the (α,β)-core, computed from the offset segment."""
-        check_thresholds(alpha, beta)
-        if min(alpha, beta) > self._delta:
-            return []
-        key, requirement = self._route(alpha, beta)
-        offsets = self._levels[key].offsets
-        handles = self.global_handles()
-        return [handles[gid] for gid in np.flatnonzero(offsets >= requirement).tolist()]
 
     # ------------------------------------------------------------------ #
     def stats(self) -> IndexStats:

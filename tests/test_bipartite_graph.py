@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import EdgeNotFoundError, GraphError, VertexNotFoundError
+from repro.exceptions import (
+    EdgeNotFoundError,
+    GraphError,
+    InvalidParameterError,
+    VertexNotFoundError,
+)
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex, lower, upper
 
 
@@ -68,6 +73,18 @@ class TestMutation:
         graph.add_edge("u", "v", 7.0)
         assert graph.num_edges == 1
         assert graph.weight("u", "v") == 7.0
+
+    def test_nan_weight_is_rejected_and_inf_accepted(self):
+        graph = BipartiteGraph()
+        with pytest.raises(InvalidParameterError, match=r"\('u', 'v'\).*NaN"):
+            graph.add_edge("u", "v", float("nan"))
+        assert graph.num_edges == 0 and graph.num_vertices == 0
+        graph.add_edge("u", "v", 2.0)
+        with pytest.raises(InvalidParameterError):
+            graph.add_edge("u", "v", float("nan"))  # nor as a re-weight
+        assert graph.weight("u", "v") == 2.0
+        graph.add_edge("u", "w", float("inf"))
+        assert graph.weight("u", "w") == float("inf")
 
     def test_remove_edge_returns_weight(self):
         graph = BipartiteGraph.from_edges([("u", "v", 4.0)])

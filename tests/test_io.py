@@ -6,7 +6,7 @@ import gzip
 
 import pytest
 
-from repro.exceptions import DatasetError
+from repro.exceptions import DatasetError, InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.io import iter_edge_lines, read_edge_list, read_konect, write_edge_list
 
@@ -26,6 +26,14 @@ class TestReading:
         assert graph.num_edges == 2
         assert graph.weight("u1", "v1") == 2.5
         assert graph.weight("u2", "v1") == 1.0  # missing weight defaults to 1
+
+    def test_nan_weight_is_rejected_and_inf_loads(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_text("u1 v1 2.5\nu2 v1 nan\n")
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            read_edge_list(path)
+        path.write_text("u1 v1 2.5\nu2 v1 inf\n")
+        assert read_edge_list(path).weight("u2", "v1") == float("inf")
 
     def test_gzipped_input(self, tmp_path):
         path = tmp_path / "graph.txt.gz"

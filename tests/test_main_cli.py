@@ -213,6 +213,17 @@ class TestUpdateAndStats:
         assert main(["update", "--index", str(snapshot_dir), "--ops", str(ops)]) == 1
         assert "expected 'insert" in capsys.readouterr().err
 
+    def test_update_rejects_a_nan_weight(self, capsys, tmp_path, snapshot_dir):
+        from repro.serving.snapshot import snapshot_version
+
+        ops = tmp_path / "ops.tsv"
+        ops.write_text("insert u3 v6 nan\n", encoding="utf-8")
+        assert main(["update", "--index", str(snapshot_dir), "--ops", str(ops)]) == 1
+        assert "NaN weight" in capsys.readouterr().err
+        assert snapshot_version(snapshot_dir) == 0  # nothing was saved
+        ops.write_text("insert u3 v6 inf\n", encoding="utf-8")
+        assert main(["update", "--index", str(snapshot_dir), "--ops", str(ops)]) == 0
+
     def test_stats_reports_maintenance_counters(self, capsys, tmp_path, snapshot_dir):
         ops = tmp_path / "ops.tsv"
         ops.write_text("insert u3 v6 2.0\n", encoding="utf-8")
@@ -221,7 +232,8 @@ class TestUpdateAndStats:
         assert main(["stats", "--index", str(snapshot_dir)]) == 0
         out = capsys.readouterr().out
         assert "levels_patched" in out
-        assert "arrays_patch_hit_rate" in out
+        assert "region_mean_vertices" in out
+        assert "arrays_patch_hit_rate" not in out
         assert "snapshot_version" in out
 
     def test_update_pickle_round_trip(self, capsys, tmp_path, edge_file):

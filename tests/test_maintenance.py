@@ -146,8 +146,8 @@ class TestStaleEntryPurging:
 
     def test_discarded_preexisting_isolated_vertex_is_purged(self):
         # A vertex isolated since construction is dropped by the first
-        # removal's discard_isolated(); its (zero-offset) entries must not
-        # linger in the index stores afterwards.
+        # removal's discard_isolated(); every vanished vertex keeps its id
+        # with offset 0 and an empty slice at every level.
         graph = BipartiteGraph.from_edges(
             [("u0", "v0", 1), ("u0", "v1", 1), ("u1", "v0", 1), ("u1", "v1", 1)]
         )
@@ -155,15 +155,18 @@ class TestStaleEntryPurging:
         dynamic = DynamicDegeneracyIndex(graph)
         dynamic.remove_edge("u0", "v0")
         assert not dynamic.graph.has_vertex(Side.UPPER, "iso")
-        for stores in (
-            dynamic._alpha_offsets,
-            dynamic._beta_offsets,
-            dynamic._alpha_lists,
-            dynamic._beta_lists,
-        ):
-            for level in stores.values():
-                for vertex in level:
-                    assert dynamic.graph.has_vertex(vertex.side, vertex.label)
+        handles = dynamic.global_handles()
+        vanished = [
+            gid
+            for gid, vertex in enumerate(handles)
+            if not dynamic.graph.has_vertex(vertex.side, vertex.label)
+        ]
+        assert upper("iso") in [handles[gid] for gid in vanished]
+        for level in dynamic.level_arrays().values():
+            for gid in vanished:
+                assert level.offsets[gid] == 0
+                assert level.indptr[gid + 1] == level.indptr[gid]
+            assert not set(vanished) & set(level.entry_vertex.tolist())
 
     def test_remove_pendant_edge_purges_vanished_endpoint(self, tiny_graph):
         dynamic = DynamicDegeneracyIndex(tiny_graph)

@@ -226,23 +226,30 @@ class TestGrowingIdSpace:
                 dynamic.insert_edge(*edge, 3.0)  # a vanished vertex may return
         assert dynamic._ids is ids  # never re-interned
         assert ids.capacity > start
-        # The id adjacency and every level's offset array match the graph
-        # and the dict stores.
+        # The id adjacency matches the graph, and every level's offsets
+        # match a fresh build's.
         for gid, handle in enumerate(ids.handles):
             nbrs = sorted(ids.handles[g].label for g in ids.neighbours[gid].tolist())
             alive = dynamic.graph.has_vertex(handle.side, handle.label)
-            want = sorted(dynamic.graph.neighbors(handle.side, handle.label)) if alive else []
-            assert nbrs == want, handle
-            assert ids.degrees[gid] == len(want)
+            nbr_weights = dynamic.graph.neighbors(handle.side, handle.label) if alive else {}
+            assert nbrs == sorted(nbr_weights), handle
+            assert ids.degrees[gid] == len(nbr_weights)
             assert ids.upper[gid] == (handle.side is Side.UPPER)
-        assert sorted(dynamic._level_offsets) == sorted(
-            (half, tau) for tau in range(1, dynamic.delta + 1) for half in ("alpha", "beta")
-        )
-        for (half, tau), array in dynamic._level_offsets.items():
-            store = (dynamic._alpha_offsets if half == "alpha" else dynamic._beta_offsets)[tau]
-            got = {ids.handles[g]: int(o) for g, o in enumerate(array.tolist()) if o}
-            assert got == {v: o for v, o in store.items() if o}, (half, tau)
+            assert dict(
+                zip(
+                    (ids.handles[g].label for g in ids.neighbours[gid].tolist()),
+                    ids.weights[gid].tolist(),
+                )
+            ) == dict(nbr_weights)
         fresh = DegeneracyIndex(dynamic.graph.copy(), backend="dict")
+        levels = dynamic.level_arrays()
+        assert sorted(levels) == sorted(
+            (half, tau) for tau in range(1, fresh.delta + 1) for half in ("alpha", "beta")
+        )
+        for (half, tau), level in levels.items():
+            store = (fresh._alpha_offsets if half == "alpha" else fresh._beta_offsets)[tau]
+            got = {ids.handles[g]: int(o) for g, o in enumerate(level.offsets.tolist()) if o}
+            assert got == {v: o for v, o in store.items() if o}, (half, tau)
         assert fresh.delta == dynamic.delta
         queries = [(v, a, b) for v in dynamic.graph.vertices() for a, b in ((1, 1), (2, 2))]
         for got, want in zip(
@@ -392,6 +399,11 @@ class TestArrayNativeCompaction:
         folded = DynamicDegeneracyIndex.from_snapshot(load_snapshot(reference_dir))
         want_levels = folded.export_level_arrays()
         want_csr = freeze(folded.graph)
+        # The reopened export is what a dict build of the same graph exports.
+        _assert_levels_identical(
+            DegeneracyIndex(folded.graph.copy(), backend="dict").export_level_arrays(),
+            want_levels,
+        )
 
         report = compact_snapshot(target, journal=dynamic.journal)
         assert report.folded_deltas == len(CHAIN_OPS)

@@ -154,9 +154,11 @@ def test_maintenance_keeps_the_array_path_hot():
         u, v = f"u{rng.randrange(8)}", f"v{rng.randrange(8)}"
         dynamic.insert_edge(u, v, float(rng.randint(1, 9)))
     assert dynamic.query_path() is path_before, "array path was invalidated"
-    stats = dynamic.stats()
-    assert stats.extra["arrays_patched"] > 0
-    assert stats.extra["arrays_patch_hit_rate"] == 1.0
+    # The kept path reads the patched levels: its answers match a rebuild.
+    fresh = DegeneracyIndex(dynamic.graph.copy(), backend="dict")
+    queries = [(vertex, 1, 1) for vertex in fresh.vertices_in_core(1, 1)]
+    for got, want in zip(dynamic.batch_community(queries), fresh.batch_community(queries)):
+        assert got.same_structure(want)
 
 
 def test_maintenance_observability_counters():
@@ -181,14 +183,11 @@ def test_maintenance_observability_counters():
         "region_updates",
         "reweight_updates",
         "region_mean_vertices",
-        "arrays_patched",
-        "arrays_invalidated",
-        "arrays_dropped",
-        "arrays_patch_hit_rate",
         "updates_applied",
         "maintenance_seconds",
     ):
         assert key in extra, key
     assert extra["updates_applied"] == 12.0
     assert extra["levels_patched"] + extra["levels_rebuilt"] > 0
-    assert 0.0 <= extra["arrays_patch_hit_rate"] <= 1.0
+    for gone in ("arrays_patched", "arrays_invalidated", "arrays_dropped", "arrays_patch_hit_rate"):
+        assert gone not in extra, gone
