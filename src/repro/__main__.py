@@ -226,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--batch-window",
         type=float,
-        default=0.005,
-        help="seconds the front end waits to fill a micro-batch",
+        default=0.0,
+        help="extra seconds a backlog micro-batch keeps filling (default 0: "
+        "send as soon as the fleet is free; a query on an idle fleet never waits)",
     )
     serve.add_argument(
         "--batch-max", type=int, default=64, help="micro-batch size cap"

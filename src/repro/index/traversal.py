@@ -10,10 +10,10 @@ O(size(C_{α,β}(q))) time.
 :func:`bfs_over_lists` is the dict-backend implementation.
 :func:`bfs_over_arrays` answers the same query over the flat per-level
 :class:`~repro.index.csr_build.LevelArrays`: whole frontiers are expanded
-with vectorised gathers, per-vertex qualifying prefixes are found with a
-binary search on the sorted offsets (preserving the answer-size bound up to a
-logarithmic factor), and the answer graph is assembled from sorted edge
-arrays instead of per-edge ``add_edge`` calls.  :class:`ArrayQueryPath`
+with vectorised gathers, the qualifying prefixes of a whole frontier are cut
+by one vectorised bisection on the sorted offsets (preserving the answer-size
+bound up to a logarithmic factor), and the answer graph is assembled from
+sorted edge arrays instead of per-edge ``add_edge`` calls.  :class:`ArrayQueryPath`
 bundles the levels of one index with the interned id space and a reusable
 visited bitmap, which is what makes batched query streams cheap: the index is
 "frozen" into arrays once and every retrieval allocates only its answer.
@@ -87,32 +87,38 @@ def bfs_over_lists(
 
 def _qualifying_counts(
     level: "LevelArrays", frontier: "np.ndarray", requirement: int
-) -> "np.ndarray":
-    """Entries of each frontier vertex whose offset meets ``requirement``.
+) -> "Tuple[np.ndarray, np.ndarray]":
+    """The ``(starts, counts)`` of each frontier vertex's qualifying entries.
 
-    Slices are sorted by decreasing offset, so the qualifying entries form a
-    prefix.  The common case — the whole slice qualifies — is detected with
-    one vectorised gather of each slice's minimum offset; only the remaining
-    vertices pay a binary search, keeping the scan within the answer size up
-    to a logarithmic factor (no full-list walks past the cut-off).
+    Slices are sorted by decreasing offset, so the entries whose offset meets
+    ``requirement`` form a prefix of ``counts`` entries from ``starts``.  The
+    common case — the whole slice qualifies — is detected with one vectorised
+    gather of each slice's minimum offset.  The remaining (partial) slices
+    are cut by one bisection run over all of them at once: each round gathers
+    every slice's midpoint offset, so the frontier costs about
+    log2(longest partial slice) array rounds and never a per-vertex Python
+    step, and no list is walked past its cut-off.
     """
     indptr = level.indptr
     entry_offset = level.entry_offset
     starts = indptr[frontier]
     counts = indptr[frontier + 1] - starts
     nonempty = counts > 0
-    if entry_offset.size:
-        last = np.where(nonempty, starts + counts - 1, 0)
-        full = nonempty & (entry_offset[last] >= requirement)
-    else:
-        full = np.zeros(frontier.shape[0], dtype=bool)
-    for i in np.flatnonzero(nonempty & ~full).tolist():
-        lo = int(starts[i])
-        hi = lo + int(counts[i])
-        ascending = entry_offset[lo:hi][::-1]
-        counts[i] = (hi - lo) - int(
-            np.searchsorted(ascending, requirement, side="left")
-        )
+    if not entry_offset.size:
+        return starts, counts
+    last = np.where(nonempty, starts + counts - 1, 0)
+    partial = np.flatnonzero(nonempty & (entry_offset[last] < requirement))
+    if partial.size:
+        # The cut lies in [lo, hi]: entry ``hi`` (the slice's last) is known
+        # to fail, and the first failing entry is a fixed point of a round.
+        lo = starts[partial]
+        hi = last[partial]
+        for _ in range(int((hi - lo).max()).bit_length()):
+            mid = (lo + hi) >> 1
+            meets = entry_offset[mid] >= requirement
+            lo = np.where(meets, mid + 1, lo)
+            hi = np.where(meets, hi, mid)
+        counts[partial] = lo - starts[partial]
     return starts, counts
 
 

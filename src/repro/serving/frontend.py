@@ -2,10 +2,11 @@
 
 One process, one listening socket, one supervised worker fleet: the front end
 accepts concurrent client connections speaking a newline-delimited JSON
-protocol, admission-controls them with a bounded pending budget, micro-batches
-queued queries on a size/deadline window into the fleet's sharded batch path,
-and keeps a cross-batch :class:`~repro.serving.answer_cache.AnswerCache` of
-component answers so a power-law query mix rarely touches the workers at all.
+protocol, admission-controls them with a bounded pending budget, sends a query
+that reaches an idle fleet at once and micro-batches the queries that queue up
+while a dispatch is in flight into the fleet's sharded batch path, and keeps a
+cross-batch :class:`~repro.serving.answer_cache.AnswerCache` of component
+answers so a power-law query mix rarely touches the workers at all.
 A background watch task heals crashed workers between batches and polls the
 snapshot directory so a freshly published delta segment or compacted
 generation triggers a hot :meth:`CommunityServer.reload` automatically.
@@ -220,10 +221,15 @@ class ServingFrontend:
     num_workers, start_method, shards_per_worker, max_respawns_per_batch:
         Forwarded to the underlying :class:`SupervisedCommunityServer`.
     batch_window:
-        Seconds the micro-batcher waits for more queries after the first one
-        of a batch arrives (the deadline half of the size/deadline window).
+        Extra seconds a backlog batch keeps filling before it is sent.  The
+        batcher is work-conserving: a query that reaches an idle fleet is
+        sent at once, and the queries that queued up while a dispatch was in
+        flight are sent together as soon as it returns.  With the default 0
+        that backlog goes out as it stands; a positive value trades that
+        much latency under load for bigger batches.  A lone query on an idle
+        fleet never waits for the window.
     max_batch:
-        Query cap per micro-batch (the size half of the window).
+        Query cap per micro-batch.
     max_pending:
         Admission budget: queries in flight beyond this are rejected
         immediately with :class:`~repro.exceptions.OverloadedError`.
@@ -244,7 +250,7 @@ class ServingFrontend:
         num_workers: Optional[int] = None,
         start_method: Optional[str] = None,
         shards_per_worker: int = 4,
-        batch_window: float = 0.005,
+        batch_window: float = 0.0,
         max_batch: int = 64,
         max_pending: int = 1024,
         cache_entries: int = 4096,
@@ -478,18 +484,21 @@ class ServingFrontend:
     async def _dispatch_loop(self) -> None:
         loop = asyncio.get_running_loop()
         assert self._queue is not None
+        queue = self._queue
         while True:
-            first = await self._queue.get()
-            batch = [first]
-            deadline = loop.time() + self._batch_window
+            # Items already queued arrived while the previous dispatch was
+            # in flight: only such a backlog may wait for the window.
+            backlog = not queue.empty()
+            batch = [await queue.get()]
+            while len(batch) < self._max_batch and not queue.empty():
+                batch.append(queue.get_nowait())
+            deadline = loop.time() + (self._batch_window if backlog else 0.0)
             while len(batch) < self._max_batch:
                 remaining = deadline - loop.time()
                 if remaining <= 0:
                     break
                 try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
+                    batch.append(await asyncio.wait_for(queue.get(), remaining))
                 except asyncio.TimeoutError:
                     break
             groups: Dict[Tuple, List[_Pending]] = {}

@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex
 from repro.graph.views import connected_component, weight_threshold_subgraph
 
@@ -71,6 +73,28 @@ def graph_edge_weights(graph: BipartiteGraph) -> Set[Tuple[object, object, float
 def assert_same_graph(actual: BipartiteGraph, expected: BipartiteGraph) -> None:
     """Assert two graphs have identical edge sets (with weights)."""
     assert graph_edge_weights(actual) == graph_edge_weights(expected)
+
+
+def qualifying_counts_reference(
+    level, frontier: Sequence[int], requirement: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(starts, counts)`` of each frontier vertex's qualifying prefix.
+
+    One ``searchsorted`` per slice, written straight from the layout of
+    :class:`~repro.index.csr_build.LevelArrays`: the entries of vertex ``g``
+    occupy ``indptr[g]:indptr[g + 1]`` sorted by decreasing offset, and the
+    qualifying ones are those whose offset is at least ``requirement``.
+    """
+    starts = []
+    counts = []
+    for g in frontier:
+        lo = int(level.indptr[g])
+        hi = int(level.indptr[g + 1])
+        ascending = np.asarray(level.entry_offset[lo:hi])[::-1]
+        starts.append(lo)
+        failing = int(np.searchsorted(ascending, requirement, side="left"))
+        counts.append((hi - lo) - failing)
+    return np.array(starts, dtype=np.int64), np.array(counts, dtype=np.int64)
 
 
 def plan_level_region_reference(

@@ -239,6 +239,108 @@ class TestAdmissionControl:
                 )
 
 
+
+class TestWorkConservingBatching:
+    def test_zero_window_coalesces_a_backlog(self, snapshot_dir, frontend_index):
+        """Regression: with ``batch_window=0`` the batcher sent every queued
+        query alone, so a burst of N pipelined queries cost N batches."""
+        from repro.serving.frontend import FrontendClient, ServingFrontend
+
+        queries = [
+            (vertex, t, t)
+            for t in (2, 3)
+            for vertex in frontend_index.vertices_in_core(t, t)[:12]
+        ]
+        lines = []
+        for i, (vertex, alpha, beta) in enumerate(queries):
+            side = "upper" if vertex.side.name == "UPPER" else "lower"
+            request = {"op": "community", "side": side, "label": vertex.label,
+                       "alpha": alpha, "beta": beta, "edges": True, "id": i}
+            lines.append(json.dumps(request).encode("utf-8") + b"\n")
+        with ServingFrontend(
+            snapshot_dir, num_workers=1, cache_entries=0, batch_window=0
+        ) as frontend:
+            with socket.create_connection(
+                (frontend.host, frontend.port), timeout=60
+            ) as raw:
+                raw.sendall(b"".join(lines))
+                stream = raw.makefile("rb")
+                replies = [json.loads(stream.readline()) for _ in queries]
+            with FrontendClient(frontend.host, frontend.port) as client:
+                extra = client.stats()["stats"]["extra"]
+        assert extra["frontend_batched_requests"] == len(queries)
+        assert extra["frontend_batches"] < len(queries)
+        by_id = {reply["id"]: reply for reply in replies}
+        for i, (vertex, alpha, beta) in enumerate(queries):
+            reply = by_id[i]
+            assert reply["ok"] and reply["found"], reply
+            expected = frontend_index.community(vertex, alpha, beta)
+            got = {(u, v, float(w)) for u, v, w in reply["edges"]}
+            assert got == {(u, v, float(w)) for u, v, w in expected.edges()}
+
+    def test_lone_query_on_idle_fleet_skips_the_window(
+        self, snapshot_dir, core_vertex
+    ):
+        import time
+
+        from repro.serving.frontend import FrontendClient, ServingFrontend
+
+        window = 20.0
+        with ServingFrontend(
+            snapshot_dir, num_workers=1, cache_entries=0, batch_window=window
+        ) as frontend:
+            with FrontendClient(frontend.host, frontend.port) as client:
+                for _ in range(2):
+                    started = time.perf_counter()
+                    reply = client.community(core_vertex.label, 2, 2)
+                    assert reply["ok"] and reply["found"]
+                    assert time.perf_counter() - started < window / 4
+
+    def test_positive_window_waits_only_on_a_backlog(self, snapshot_dir):
+        """The batching policy over a stub dispatch that takes 0.1 s: a query
+        on an idle fleet goes out alone at once; queries that queued behind
+        the dispatch wait out the window for a late arrival."""
+        import asyncio
+        import contextlib
+
+        from repro.serving.frontend import ServingFrontend, _Pending
+
+        frontend = ServingFrontend(snapshot_dir, num_workers=1, batch_window=0.2)
+        sent = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+
+            async def dispatch(kind, options, items, isolate=True):
+                sent.append(([item.triple for item in items], loop.time() - started))
+                await asyncio.sleep(0.1)
+
+            def submit(n):
+                future = loop.create_future()
+                frontend._queue.put_nowait(_Pending("community", n, None, future))
+
+            frontend._dispatch_group = dispatch
+            frontend._queue = asyncio.Queue()
+            task = loop.create_task(frontend._dispatch_loop())
+            await asyncio.sleep(0)  # the loop now waits on an empty queue
+            started = loop.time()
+            submit(0)
+            await asyncio.sleep(0.05)
+            submit(1)
+            submit(2)
+            await asyncio.sleep(0.1)  # the first dispatch has returned
+            submit(3)
+            await asyncio.sleep(0.4)
+            task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await task
+
+        asyncio.run(scenario())
+        assert [batch for batch, _ in sent] == [[0], [1, 2, 3]]
+        assert sent[0][1] < 0.05  # not held for the 0.2 s window
+        assert sent[1][1] >= 0.3  # the backlog waited out the window
+
 @pytest.fixture(scope="module")
 def weighted_frontend(tmp_path_factory):
     """A 1-worker front end over a graph with distinct edge weights, so the
