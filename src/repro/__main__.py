@@ -425,7 +425,7 @@ def _run_update(args: argparse.Namespace) -> int:
         if kind == "insert":
             dynamic.insert_edge(upper_label, lower_label, weight)
             applied += 1
-        elif dynamic.graph.has_edge(upper_label, lower_label):
+        elif dynamic.has_edge(upper_label, lower_label):
             dynamic.remove_edge(upper_label, lower_label)
             applied += 1
         else:

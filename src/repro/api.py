@@ -91,11 +91,10 @@ class CommunitySearcher:
         """The searched graph (taken from the index when not supplied).
 
         For a snapshot-backed searcher the graph is thawed from the mapped
-        arrays on first access, so index-only construction stays cheap.
+        arrays on first access, so index-only construction stays cheap; a
+        maintained index builds its current graph on each access.
         """
-        if self._graph is None:
-            self._graph = self._index.graph
-        return self._graph
+        return self._index.graph if self._graph is None else self._graph
 
     @property
     def index(self) -> DegeneracyIndex:
@@ -311,14 +310,15 @@ class CommunitySearcher:
     def _baseline_result(
         self, query: Vertex, alpha: int, beta: int, epsilon: float
     ) -> SearchResult:
-        answer = scs_baseline(self.graph, query, alpha, beta, epsilon=epsilon)
+        graph = self.graph
+        answer = scs_baseline(graph, query, alpha, beta, epsilon=epsilon)
         return SearchResult(
             graph=answer,
             query=query,
             alpha=alpha,
             beta=beta,
             method="baseline",
-            search_space_edges=self.graph.num_edges,
+            search_space_edges=graph.num_edges,
         )
 
     def _wire_result(

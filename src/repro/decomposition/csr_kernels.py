@@ -18,11 +18,11 @@ is semantically identical to its dict twin — the cross-backend agreement suite
 
 The last section holds step 2 of a query, significant search
 (:func:`csr_significant_edges`), over the edge arrays of one retrieved
-community.  Binary search and expansion share one kernel with no per-edge
-Python loop: it validates weight-ordered prefixes with whole-array core
-passes instead of growing Algorithm 5's union-find edge by edge (see
+community.  Peeling, binary search and expansion share one kernel with no
+per-edge Python loop: it validates weight-ordered prefixes with whole-array
+core passes instead of growing Algorithm 5's union-find edge by edge (see
 :func:`_expand_over_edges` for how that differs from the paper and why the
-answers do not); binary search is its ε = ∞ schedule.
+answers do not); peeling and binary search are its ε = ∞ schedule.
 ``tests/test_scs_agreement.py`` asserts peel, expand and binary against the
 dict ``scs_*`` oracles.
 """
@@ -435,69 +435,6 @@ def _edge_component(
             return np.flatnonzero(reach)
 
 
-def _peel_mask(
-    us: np.ndarray,
-    ls: np.ndarray,
-    weight: np.ndarray,
-    num_u: int,
-    num_l: int,
-    alive: np.ndarray,
-    query_upper: bool,
-    query: int,
-    alpha: int,
-    beta: int,
-) -> np.ndarray:
-    """Peel the ``alive`` edge subset; the array twin of ``scs_peel``.
-
-    Returns the kept edge positions (ascending).  Rounds remove every alive
-    edge carrying the current minimum weight, cascade, and on query death
-    restore the round and return the query's component.
-    """
-    live = np.flatnonzero(alive)
-    if np.unique(weight[live]).shape[0] <= 1:
-        # Single distinct weight: the (sub)community itself is the answer.
-        return live
-    alive = alive.copy()
-    order = live[np.argsort(weight[live], kind="stable")]
-    sorted_w = weight[order]
-    du = np.bincount(us[alive], minlength=num_u)
-    dl = np.bincount(ls[alive], minlength=num_l)
-    query_threshold = alpha if query_upper else beta
-    pos, total = 0, int(order.shape[0])
-    while pos < total:
-        # Skip edges already removed by an earlier cascade (the cursor only
-        # moves forward, so this stays amortised O(E) over the whole peel).
-        while pos < total and not alive[order[pos]]:
-            pos += 1
-        if pos >= total:
-            break
-        current_weight = sorted_w[pos]
-        run_end = int(np.searchsorted(sorted_w, current_weight, side="right"))
-        round_edges = order[pos:run_end]
-        round_edges = round_edges[alive[round_edges]]
-        pos = run_end
-        previous = alive.copy()
-        alive[round_edges] = False
-        du -= np.bincount(us[round_edges], minlength=num_u)
-        dl -= np.bincount(ls[round_edges], minlength=num_l)
-        while True:
-            bad_u = (du > 0) & (du < alpha)
-            bad_l = (dl > 0) & (dl < beta)
-            doomed = alive & (bad_u[us] | bad_l[ls])
-            if not doomed.any():
-                break
-            alive &= ~doomed
-            du -= np.bincount(us[doomed], minlength=num_u)
-            dl -= np.bincount(ls[doomed], minlength=num_l)
-        query_degree = int(du[query]) if query_upper else int(dl[query])
-        if query_degree < query_threshold:
-            # The graph as it stood at the start of this round is the last
-            # valid one: return the query's component inside it.
-            return _edge_component(us, ls, previous, query_upper, query, num_u, num_l)
-    # Unreachable for a well-formed input; same safe fall-back as the oracle.
-    return live
-
-
 def _expand_over_edges(
     us: np.ndarray,
     ls: np.ndarray,
@@ -601,8 +538,9 @@ def csr_significant_edges(
     the first one that keeps the query, instead of running a union-find and
     peeling; the Lemma 7 and saturation pruning rules, which only skip
     validations, are dropped — so it returns the same answer as the oracle.
-    ``"binary"`` runs the same kernel with ε = ∞: the first checkpoint, the
-    full prefix, then bisection, instead of bisecting the distinct weights.
+    ``"binary"`` and ``"peel"`` run the same kernel with ε = ∞: the first
+    checkpoint, the full prefix, then bisection, instead of bisecting the
+    distinct weights or stripping one distinct weight per round.
     """
     check_thresholds(alpha, beta)
     if method not in SCS_EDGE_METHODS:
@@ -628,13 +566,9 @@ def csr_significant_edges(
         # Single distinct weight: the community itself is the answer (the
         # same short-circuit every dict algorithm takes).
         return np.arange(src.shape[0], dtype=np.int64)
-    if method == "peel":
-        return _peel_mask(
-            us, ls, weight, num_u, num_l, np.ones(src.shape[0], dtype=bool),
-            query_in_upper, query, alpha, beta,
-        )
-    # Binary search is the same threshold search with an unbounded growth
-    # factor: the first checkpoint, then the full prefix, then bisection.
+    # Peel and binary search are the same threshold search with an unbounded
+    # growth factor: the first checkpoint, then the full prefix, then
+    # bisection back to the smallest prefix whose core keeps the query.
     return _expand_over_edges(
         us, ls, weight, num_u, num_l, query_in_upper, query, alpha, beta,
         epsilon if method == "expand" else np.inf,

@@ -98,15 +98,17 @@ class DegeneracyIndex(CommunityIndex):
     def _build(self) -> None:
         with Timer() as timer, gc_paused():
             if self._backend == "csr":
-                self._build_csr()
+                from repro.graph.csr import freeze
+
+                self._build_csr(freeze(self._graph))
             else:
                 self._delta = degeneracy(self._graph, backend="dict")
                 for tau in range(1, self._delta + 1):
                     self._build_level(tau)
         self._build_seconds = timer.elapsed
 
-    def _build_csr(self) -> None:
-        """Array-native construction: freeze once, run every level on CSR.
+    def _build_csr(self, csr: "CSRBipartiteGraph") -> None:
+        """Array-native construction: run every level on the frozen ``csr``.
 
         Each level is materialised twice from the same filtered/sorted edge
         arrays: as the dict mirror (:meth:`_mirror_level`) and as the flat
@@ -120,11 +122,9 @@ class DegeneracyIndex(CommunityIndex):
         index is identical for every worker count.
         """
         from repro.decomposition.csr_kernels import csr_degeneracy
-        from repro.graph.csr import freeze
         from repro.index.csr_build import build_level_arrays
         from repro.index.parallel_build import compute_level_payloads
 
-        csr = freeze(self._graph)
         self._delta = csr_degeneracy(csr)
         payloads, self._build_extra = compute_level_payloads(
             csr, self._delta, self._n_jobs

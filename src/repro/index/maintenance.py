@@ -80,6 +80,7 @@ if TYPE_CHECKING:
     from repro.index.parallel_build import LevelPayload
     from repro.serving.snapshot import SnapshotIndex
 
+from repro.exceptions import EdgeNotFoundError, InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex
 from repro.index.base import IndexStats
 from repro.index.degeneracy_index import DegeneracyIndex
@@ -107,21 +108,26 @@ _EMPTY_WEIGHTS = np.empty(0, dtype=np.float64)
 # the graph over global ids
 # --------------------------------------------------------------------------- #
 class IdAdjacency:
-    """The maintained graph over an append-only global id space.
+    """The maintained graph — the writer's only copy — over an append-only
+    global id space.
 
     ``handles[g]`` is the :class:`Vertex` of id ``g`` (``ids`` the reverse
     map), ``upper[g]`` flags the upper side, ``neighbours[g]`` holds the
-    neighbour ids, ``weights[g]`` the matching edge weights and
-    ``degrees[g]`` their count.  The maintained index updates the adjacency
-    on every edge insert, re-weight and removal, so planning a candidate
-    region and rebuilding index slices gathers neighbour ids and weights
-    with numpy instead of building and hashing one :class:`Vertex` per
-    neighbour.  A vanished vertex keeps its id (with no neighbours) and a
-    never-seen one is appended by :meth:`intern`; the per-id arrays keep
-    spare capacity, so the id space grows in place.  ``num_upper`` counts
-    the upper ids, and ``upper_first`` turns False once an upper vertex is
-    appended after a lower one — the array query path needs upper ids first,
-    which :meth:`renumber` restores.
+    neighbour ids in arrival order, ``weights[g]`` the matching edge weights
+    and ``degrees[g]`` their count.  The maintained index updates the
+    adjacency on every edge insert, re-weight and removal, so planning a
+    candidate region and rebuilding index slices gathers neighbour ids and
+    weights with numpy instead of building and hashing one :class:`Vertex`
+    per neighbour.  A vertex exists (``alive[g]``) from its first sighting
+    until a removal leaves it isolated, and every removal also drops the
+    vertices isolated since construction — the dict graph's rule; a
+    vanished vertex keeps its id (with no neighbours) and a never-seen one
+    is appended by :meth:`intern`.  ``birth[g]`` orders each side's vertices
+    as a dict graph with the same history lists them.  The per-id arrays
+    keep spare capacity, so the id space grows in place.  ``num_upper``
+    counts the upper ids, and ``upper_first`` turns False once an upper
+    vertex is appended after a lower one — the array query path needs upper
+    ids first, which :meth:`renumber` restores.
 
     The planner's per-id scratch lives here too: marks stamped with a
     per-plan generation, so a plan reads and writes only the ids it visits
@@ -129,14 +135,19 @@ class IdAdjacency:
     """
 
     __slots__ = (
+        "name",
         "handles",
         "ids",
         "upper",
+        "alive",
+        "birth",
         "neighbours",
         "weights",
         "degrees",
         "num_upper",
+        "num_edges",
         "upper_first",
+        "_births",
         "_generation",
         "_seed",
         "_inside",
@@ -146,21 +157,27 @@ class IdAdjacency:
 
     def __init__(
         self,
+        name: str,
         handles: List[Vertex],
         neighbours: List[np.ndarray],
         weights: List[np.ndarray],
+        num_upper: int,
     ) -> None:
+        self.name = name
         self.handles = handles
         self.ids = {handle: gid for gid, handle in enumerate(handles)}
         self.neighbours = neighbours
         self.weights = weights
-        capacity = max(len(handles), 1)
-        self.upper = np.zeros(capacity, dtype=bool)
-        self.upper[: len(handles)] = [handle.side is Side.UPPER for handle in handles]
+        count = self._births = len(handles)
+        capacity = max(count, 1)
+        self.upper = np.arange(capacity) < num_upper
+        self.alive = np.arange(capacity) < count
+        self.birth = np.arange(capacity, dtype=np.int64)
         self.degrees = np.zeros(capacity, dtype=np.int64)
-        self.degrees[: len(handles)] = [ids.shape[0] for ids in neighbours]
-        self.num_upper = int(np.count_nonzero(self.upper))
-        self.upper_first = bool(self.upper[: self.num_upper].all())
+        self.degrees[:count] = [nbrs.shape[0] for nbrs in neighbours]
+        self.num_upper = num_upper
+        self.num_edges = int(self.degrees[:num_upper].sum())
+        self.upper_first = True
         self._generation = 0
         self._seed = np.zeros(capacity, dtype=np.int64)
         self._inside = np.zeros(capacity, dtype=np.int64)
@@ -168,36 +185,21 @@ class IdAdjacency:
         self._slack = np.zeros(capacity, dtype=np.int64)
 
     @classmethod
-    def from_graph(
-        cls,
-        graph: BipartiteGraph,
-        upper_labels: Sequence[Hashable],
-        lower_labels: Sequence[Hashable],
-    ) -> "IdAdjacency":
-        """Intern ``graph``'s edges over the given labels (upper ids first).
-
-        Labels the graph does not hold get an id with no neighbours.
-        """
-        upper_ids = {label: gid for gid, label in enumerate(upper_labels)}
-        lower_ids = {
-            label: len(upper_labels) + lid for lid, label in enumerate(lower_labels)
-        }
-        handles = [Vertex(Side.UPPER, label) for label in upper_labels] + [
-            Vertex(Side.LOWER, label) for label in lower_labels
-        ]
+    def from_csr(cls, csr: "CSRBipartiteGraph") -> "IdAdjacency":
+        """The adjacency of ``csr`` over its global ids (upper ids first),
+        each vertex's neighbours cut out of the CSR arrays in slice order."""
         neighbours: List[np.ndarray] = []
         weights: List[np.ndarray] = []
-        for side, labels, other_ids in (
-            (Side.UPPER, upper_labels, lower_ids),
-            (Side.LOWER, lower_labels, upper_ids),
+        for indptr, indices, values, shift in (
+            (csr.u_indptr, csr.u_indices, csr.u_weights, csr.num_upper),
+            (csr.l_indptr, csr.l_indices, csr.l_weights, 0),
         ):
-            for label in labels:
-                nbrs = graph.neighbors(side, label) if graph.has_vertex(side, label) else {}
-                neighbours.append(
-                    np.fromiter(map(other_ids.__getitem__, nbrs), np.int64, len(nbrs))
-                )
-                weights.append(np.fromiter(nbrs.values(), np.float64, len(nbrs)))
-        return cls(handles, neighbours, weights)
+            bounds = indptr.tolist()
+            cuts = list(zip(bounds[:-1], bounds[1:]))
+            indices, values = np.asarray(indices) + shift, np.asarray(values)
+            neighbours += [indices[lo:hi] for lo, hi in cuts]
+            weights += [values[lo:hi] for lo, hi in cuts]
+        return cls(csr.name, csr.global_handles(), neighbours, weights, csr.num_upper)
 
     @property
     def capacity(self) -> int:
@@ -205,43 +207,72 @@ class IdAdjacency:
         return self.upper.shape[0]
 
     def intern(self, vertex: Vertex) -> int:
-        """The id of ``vertex``, appending it when it was never seen."""
+        """The id of ``vertex``, appending it when it was never seen and
+        bringing it to life when it does not exist."""
         gid = self.ids.get(vertex)
-        if gid is not None:
-            return gid
-        gid = len(self.handles)
-        self.handles.append(vertex)
-        self.ids[vertex] = gid
-        self.neighbours.append(_EMPTY_IDS)
-        self.weights.append(_EMPTY_WEIGHTS)
-        if gid == self.capacity:
-            for name in ("upper", "degrees", "_seed", "_inside", "_settled", "_slack"):
-                array = getattr(self, name)
-                setattr(self, name, np.concatenate((array, np.zeros_like(array))))
-        if vertex.side is Side.UPPER:
-            self.upper[gid] = True
-            self.upper_first &= gid == self.num_upper
-            self.num_upper += 1
+        if gid is None:
+            gid = len(self.handles)
+            self.handles.append(vertex)
+            self.ids[vertex] = gid
+            self.neighbours.append(_EMPTY_IDS)
+            self.weights.append(_EMPTY_WEIGHTS)
+            if gid == self.capacity:
+                for name in (
+                    "upper", "alive", "birth", "degrees", "_seed", "_inside", "_settled", "_slack"
+                ):
+                    array = getattr(self, name)
+                    setattr(self, name, np.concatenate((array, np.zeros_like(array))))
+            if vertex.side is Side.UPPER:
+                self.upper[gid] = True
+                self.upper_first &= gid == self.num_upper
+                self.num_upper += 1
+        if not self.alive[gid]:
+            self.alive[gid], self.birth[gid] = True, self._births
+            self._births += 1
         return gid
 
-    def add_edge(self, upper_id: int, lower_id: int, weight: float) -> None:
-        for owner, nbr in ((upper_id, lower_id), (lower_id, upper_id)):
+    def edge(self, upper_label: Hashable, lower_label: Hashable) -> Optional[Tuple[int, int]]:
+        """The endpoint ids of an edge, or None when the graph lacks it."""
+        gu = self.ids.get(Vertex(Side.UPPER, upper_label))
+        gv = self.ids.get(Vertex(Side.LOWER, lower_label))
+        if gu is None or gv is None or not (self.neighbours[gu] == gv).any():
+            return None
+        return gu, gv
+
+    def insert(
+        self, upper_label: Hashable, lower_label: Hashable, weight: float
+    ) -> Tuple[int, int, bool]:
+        """Add or re-weight an edge: its endpoint ids and whether it existed."""
+        edge = self.edge(upper_label, lower_label)
+        if edge is not None:
+            for owner, nbr in (edge, edge[::-1]):
+                weights = self.weights[owner].copy()
+                weights[self.neighbours[owner] == nbr] = weight
+                self.weights[owner] = weights
+            return edge[0], edge[1], True
+        gu = self.intern(Vertex(Side.UPPER, upper_label))
+        gv = self.intern(Vertex(Side.LOWER, lower_label))
+        for owner, nbr in ((gu, gv), (gv, gu)):
             self.neighbours[owner] = np.append(self.neighbours[owner], nbr)
             self.weights[owner] = np.append(self.weights[owner], weight)
             self.degrees[owner] += 1
+        self.num_edges += 1
+        return gu, gv, False
 
-    def reweight(self, upper_id: int, lower_id: int, weight: float) -> None:
-        for owner, nbr in ((upper_id, lower_id), (lower_id, upper_id)):
-            weights = self.weights[owner].copy()
-            weights[self.neighbours[owner] == nbr] = weight
-            self.weights[owner] = weights
-
-    def remove_edge(self, upper_id: int, lower_id: int) -> None:
-        for owner, nbr in ((upper_id, lower_id), (lower_id, upper_id)):
+    def remove(self, upper_label: Hashable, lower_label: Hashable) -> Tuple[int, int, np.ndarray]:
+        """Remove an edge: its endpoint ids and the ids that stopped existing."""
+        edge = self.edge(upper_label, lower_label)
+        if edge is None:
+            raise EdgeNotFoundError(upper_label, lower_label)
+        for owner, nbr in (edge, edge[::-1]):
             keep = self.neighbours[owner] != nbr
             self.neighbours[owner] = self.neighbours[owner][keep]
             self.weights[owner] = self.weights[owner][keep]
             self.degrees[owner] -= 1
+        self.num_edges -= 1
+        vanished = np.flatnonzero(self.alive & (self.degrees == 0))
+        self.alive[vanished] = False
+        return edge[0], edge[1], vanished
 
     def gather(self, gids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(owner position in gids, neighbour id)`` for every edge of ``gids``."""
@@ -260,6 +291,33 @@ class IdAdjacency:
             return _EMPTY_WEIGHTS
         return np.concatenate([self.weights[g] for g in gids.tolist()])
 
+    def live(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The existing upper and lower ids, each side in birth order."""
+        count = len(self.handles)
+        sides = []
+        for side in (self.upper[:count], ~self.upper[:count]):
+            gids = np.flatnonzero(self.alive[:count] & side)
+            sides.append(gids[np.argsort(self.birth[gids])])
+        return sides[0], sides[1]
+
+    def to_csr(self) -> "CSRBipartiteGraph":
+        """The existing graph, vertices in birth order and neighbours in
+        arrival order — what freezing the dict graph with the same history
+        gives."""
+        from repro.graph.csr import CSRBipartiteGraph
+
+        sides = self.live()
+        local = np.zeros(len(self.handles), dtype=np.int64)
+        for gids in sides:
+            local[gids] = np.arange(gids.shape[0], dtype=np.int64)
+        layers = []
+        for gids in sides:
+            indptr = np.zeros(gids.shape[0] + 1, dtype=np.int64)
+            np.cumsum(self.degrees[gids], out=indptr[1:])
+            layers.extend((indptr, local[self.gather(gids)[1]], self.gather_weights(gids)))
+        labels = [[self.handles[g].label for g in gids.tolist()] for gids in sides]
+        return CSRBipartiteGraph(self.name, *labels, *layers)
+
     def renumber(self, old_ids: np.ndarray, new_ids: np.ndarray) -> None:
         """Reorder the ids: new id ``g`` is old id ``old_ids[g]``.
 
@@ -268,15 +326,15 @@ class IdAdjacency:
         its generation stamps never match a later plan.
         """
         order = old_ids.tolist()
-        degrees = self.degrees[old_ids]
         self.handles = [self.handles[g] for g in order]
         self.ids = {handle: gid for gid, handle in enumerate(self.handles)}
+        for name in ("upper", "alive", "birth", "degrees"):
+            array = getattr(self, name)
+            array[: len(order)] = array[old_ids]
         if order:
             flat = new_ids[np.concatenate([self.neighbours[g] for g in order])]
-            self.neighbours = np.split(flat, np.cumsum(degrees)[:-1])
+            self.neighbours = np.split(flat, np.cumsum(self.degrees[: len(order)])[:-1])
         self.weights = [self.weights[g] for g in order]
-        self.upper[: len(order)] = self.upper[old_ids]
-        self.degrees[: len(order)] = degrees
         self.upper_first = True
 
 
@@ -597,14 +655,9 @@ class MaintenanceJournal:
         global_ids: Dict[Vertex, int],
     ) -> None:
         """Attach the journal to a persisted base and clear pending changes."""
-        self.ops = []
-        self.removed = set()
-        self.dirty = {}
-        self.full_levels = set()
+        self.advance(sequence, delta)
         self.base_directory = directory
         self.base_id = snapshot_id
-        self.base_sequence = sequence
-        self.base_delta = delta
         self.base_num_upper = num_upper
         self.base_num_vertices = num_vertices
         self.base_global_ids = global_ids
@@ -680,12 +733,13 @@ def _read_only(level: "LevelArrays") -> "LevelArrays":
 class DynamicDegeneracyIndex(ArrayLevelIndex, DegeneracyIndex):
     """A :class:`DegeneracyIndex` that absorbs edge updates by region patching.
 
-    The maintained index stores each level once: one
-    :class:`~repro.index.csr_build.LevelArrays` per (half, τ), over the ids
-    of its :class:`IdAdjacency` — the build's (or the reopened snapshot's)
-    upper-first ids, with never-seen vertices appended and vanished ones
-    kept as ids with offset 0 and no entries.  Every update patches those
-    arrays in place of the static index's dict mirror, and every query
+    The maintained index holds its graph once, as its :class:`IdAdjacency`
+    (:attr:`graph` is built from it on demand), and stores each level once:
+    one :class:`~repro.index.csr_build.LevelArrays` per (half, τ), over the
+    adjacency's ids — the build's (or the reopened snapshot's) upper-first
+    ids, with never-seen vertices appended and vanished ones kept as ids
+    with offset 0 and no entries.  Every update patches those arrays in
+    place of the static index's dict mirror, and every query
     (``community``, ``contains``, ``vertices_in_core``, the batch verbs)
     runs the shared :class:`~repro.index.traversal.ArrayLevelIndex` queries
     over them.
@@ -705,37 +759,32 @@ class DynamicDegeneracyIndex(ArrayLevelIndex, DegeneracyIndex):
         n_jobs: int = 1,
         max_chain_len: Optional[int] = None,
     ) -> None:
-        # Index a private copy so external mutation of the original graph
-        # cannot silently desynchronise the index.
-        super().__init__(graph.copy(), backend=backend, n_jobs=n_jobs)
-        graph = self._graph
+        super().__init__(graph, backend=backend, n_jobs=n_jobs)
+        del self._graph  # no reference, so no private copy, to the caller's graph
         built, self._array_path, self._levels = self._array_path, None, {}
-        self._ids = IdAdjacency.from_graph(
-            graph, list(graph.upper_labels()), list(graph.lower_labels())
-        )
         if built is not None:  # a CSR build registered every level natively
             self._levels.update((key, built.level(key)) for key in built.level_keys())
         else:  # a dict build converts its mirror once, into the shared levels
+            from repro.graph.csr import freeze
+
+            self._ids = IdAdjacency.from_csr(freeze(graph))
             DegeneracyIndex.export_level_arrays(self)
         del self._alpha_offsets, self._beta_offsets, self._alpha_lists, self._beta_lists
-        self._region_budget = region_budget
-        self.max_chain_len = max_chain_len
-        self._finish_init()
+        self._finish_init(region_budget, max_chain_len)
+
+    def _build_csr(self, csr: "CSRBipartiteGraph") -> None:
+        """The CSR build, whose frozen graph also becomes the id adjacency."""
+        self._ids = IdAdjacency.from_csr(csr)
+        super()._build_csr(csr)
 
     def _mirror_level(self, csr: "CSRBipartiteGraph", payload: "LevelPayload") -> None:
         """No dict mirror: the maintained index keeps only the level arrays."""
 
-    def _finish_init(self) -> None:
+    def _finish_init(self, region_budget: int, max_chain_len: Optional[int]) -> None:
+        self._region_budget = region_budget
+        self.max_chain_len = max_chain_len
         self._maintenance_seconds = 0.0
         self._updates_applied = 0
-        # Vertices isolated from the start are the only ones besides an
-        # update's own endpoints that discard_isolated() can ever drop; track
-        # them once so their index entries are purged when that happens.
-        self._pending_isolated: List[Vertex] = [
-            vertex
-            for vertex in self._graph.vertices()
-            if self._graph.degree_of(vertex) == 0
-        ]
         self._journal = MaintenanceJournal()
         # observability
         self._levels_patched = 0
@@ -757,45 +806,47 @@ class DynamicDegeneracyIndex(ArrayLevelIndex, DegeneracyIndex):
 
         The snapshot's level arrays are adopted as they are (copied only
         when an update first writes them) — no dict mirror, no from-scratch
-        peel.  The id adjacency spans the snapshot's id space, so a vertex
-        the deltas removed keeps its id with no neighbours.  The journal is
-        bound to the snapshot's directory so the next
-        ``save_index(..., format="snapshot")`` to the same directory appends
-        a delta instead of rewriting the base.  ``max_chain_len`` installs
-        the auto-compaction policy, as in the constructor.
+        peel.  The id adjacency is cut out of the base's CSR arrays and the
+        deltas' graph operations are replayed onto it — no dict graph — so
+        it spans the snapshot's id space, and a vertex the deltas removed
+        keeps its id with no neighbours.  The journal is bound to the
+        snapshot's directory so the next ``save_index(..., format="snapshot")``
+        to the same directory appends a delta instead of rewriting the base.
+        ``max_chain_len`` installs the auto-compaction policy, as in the
+        constructor.
         """
         from repro.graph.csr import resolve_backend
 
-        graph = snapshot.graph.copy()
+        csr = snapshot.base_csr()
         self = cls.__new__(cls)
         # Manual field initialisation: DegeneracyIndex.__init__ would trigger
         # a full rebuild, which from_snapshot exists to avoid.
-        self._region_budget = DEFAULT_REGION_BUDGET
-        self.max_chain_len = max_chain_len
-        self._graph = graph
-        self._backend = resolve_backend("auto", graph)
         self._n_jobs = 1
         self._delta = snapshot.delta
         self._array_path = None
         self._build_seconds = 0.0
         self._build_extra = {}
-        handles = snapshot.global_handles()
-        labels = [handle.label for handle in handles]
-        num_upper = snapshot.num_upper
-        self._ids = IdAdjacency.from_graph(graph, labels[:num_upper], labels[num_upper:])
+        self._ids = ids = IdAdjacency.from_csr(csr)
         self._levels = {
             key: _read_only(level) for key, level in snapshot.level_arrays().items()
         }
-        self._finish_init()
+        self._finish_init(DEFAULT_REGION_BUDGET, max_chain_len)
         self._journal.bind_base(
             str(snapshot.directory),
             snapshot.snapshot_id,
             snapshot.version,
             snapshot.delta,
-            num_upper,
-            len(handles),
-            {handle: gid for gid, handle in enumerate(handles)},
+            csr.num_upper,
+            csr.num_vertices,
+            dict(ids.ids),
         )
+        # A delta only names base vertices (else a full base is written).
+        for kind, upper_label, lower_label, weight in snapshot.pending_ops:
+            if kind == "insert":
+                ids.insert(upper_label, lower_label, weight)
+            else:
+                ids.remove(upper_label, lower_label)
+        self._backend = resolve_backend("auto", ids)  # reads only num_edges
         return self
 
     # ------------------------------------------------------------------ #
@@ -805,48 +856,66 @@ class DynamicDegeneracyIndex(ArrayLevelIndex, DegeneracyIndex):
         self, upper_label: Hashable, lower_label: Hashable, weight: float = 1.0
     ) -> None:
         """Insert (or re-weight) an edge and patch the affected index levels."""
+        if weight != weight:
+            raise InvalidParameterError(
+                f"edge ({upper_label!r}, {lower_label!r}) has a NaN weight"
+            )
         with Timer() as timer:
-            reweight = self._graph.has_edge(upper_label, lower_label)
-            self._graph.add_edge(upper_label, lower_label, weight)
-            endpoints = (Vertex(Side.UPPER, upper_label), Vertex(Side.LOWER, lower_label))
-            gu, gv = self._intern(endpoints[0]), self._intern(endpoints[1])
+            before = len(self._ids.handles)
+            gu, gv, reweight = self._ids.insert(upper_label, lower_label, weight)
+            self._grow_levels(before)
             self._journal.record_insert(upper_label, lower_label, weight, (gu, gv))
-            for vertex in endpoints:
-                self._journal.note_vertex(vertex)
+            for gid in (gu, gv):
+                self._journal.note_vertex(self._ids.handles[gid])
             if reweight:
                 # Offsets depend only on the structure: a pure re-weight
                 # touches nothing but the two mirrored entry weights per level.
                 self._reweight_updates += 1
-                self._ids.reweight(gu, gv, weight)
                 self._reweight_entries(gu, gv, weight)
             else:
-                self._ids.add_edge(gu, gv, weight)
-                self._refresh_after_update(gu, gv, removal=False)
+                self._refresh_after_update(gu, gv, None)
         self._maintenance_seconds += timer.elapsed
         self._updates_applied += 1
 
     def remove_edge(self, upper_label: Hashable, lower_label: Hashable) -> None:
-        """Remove an edge and patch the affected index levels."""
+        """Remove an edge and patch the affected index levels.
+
+        Raises :class:`~repro.exceptions.EdgeNotFoundError` when the graph
+        lacks the edge.
+        """
         with Timer() as timer:
-            self._graph.remove_edge(upper_label, lower_label)
-            ids = self._ids
-            gu = ids.ids[Vertex(Side.UPPER, upper_label)]
-            gv = ids.ids[Vertex(Side.LOWER, lower_label)]
-            ids.remove_edge(gu, gv)
-            self._graph.discard_isolated()
+            gu, gv, vanished = self._ids.remove(upper_label, lower_label)
             self._journal.record_remove(upper_label, lower_label)
-            self._refresh_after_update(gu, gv, removal=True)
+            self._refresh_after_update(gu, gv, vanished)
         self._maintenance_seconds += timer.elapsed
         self._updates_applied += 1
+
+    def has_edge(self, upper_label: Hashable, lower_label: Hashable) -> bool:
+        """True when the maintained graph holds the edge."""
+        return self._ids.edge(upper_label, lower_label) is not None
+
+    @property
+    def graph(self) -> BipartiteGraph:
+        """The maintained graph, built from the id adjacency on each access
+        (:meth:`IdAdjacency.to_csr`) — a pass over every edge, so per-op
+        paths use :meth:`has_edge` and :meth:`graph_summary` instead."""
+        return self._ids.to_csr().thaw()
+
+    def graph_summary(self) -> Dict[str, object]:
+        """The graph's name and sizes, as a snapshot manifest records them."""
+        ids = self._ids
+        upper = int(np.count_nonzero(ids.alive & ids.upper))
+        return {
+            "name": ids.name,
+            "num_upper": upper,
+            "num_lower": int(np.count_nonzero(ids.alive)) - upper,
+            "num_edges": ids.num_edges,
+        }
 
     @property
     def journal(self) -> MaintenanceJournal:
         """The pending-changes journal consumed by snapshot delta saves."""
         return self._journal
-
-    @property
-    def region_budget(self) -> int:
-        return self._region_budget
 
     # ------------------------------------------------------------------ #
     # the id space and the query path
@@ -856,22 +925,22 @@ class DynamicDegeneracyIndex(ArrayLevelIndex, DegeneracyIndex):
         return self._ids.handles
 
     def _contains_vertex(self, vertex: Vertex) -> bool:
-        return self._graph.has_vertex(vertex.side, vertex.label)
-
-    def _intern(self, vertex: Vertex) -> int:
-        """The id of ``vertex``; a never-seen one grows every level by one id."""
         gid = self._ids.ids.get(vertex)
-        if gid is not None:
-            return gid
-        gid = self._ids.intern(vertex)
+        return gid is not None and bool(self._ids.alive[gid])
+
+    def _grow_levels(self, before: int) -> None:
+        """Give the ids appended since there were ``before`` an empty slice
+        and offset 0 at every level."""
+        added = len(self._ids.handles) - before
+        if not added:
+            return
         for key, level in self._levels.items():
             self._levels[key] = replace(
                 level,
-                indptr=np.append(level.indptr, level.indptr[-1]),
-                offsets=np.append(level.offsets, 0),
+                indptr=np.append(level.indptr, np.full(added, level.indptr[-1])),
+                offsets=np.append(level.offsets, np.zeros(added, dtype=np.int64)),
             )
         self._array_path = None  # its label arrays span the old ids
-        return gid
 
     def query_path(self) -> ArrayQueryPath:
         """The array query engine over the maintained levels.
@@ -917,10 +986,10 @@ class DynamicDegeneracyIndex(ArrayLevelIndex, DegeneracyIndex):
     def export_level_arrays(self) -> "Dict[Tuple[str, int], LevelArrays]":
         """Every level in the graph's own id order — what a fresh build exports.
 
-        The maintained ids keep dead vertices and number returning or new
-        ones by first sighting; a full snapshot needs exactly the graph's
-        current vertices in ``freeze(graph)`` order, so each level is
-        remapped once (:func:`~repro.index.csr_build.remap_level_arrays`).
+        The maintained ids keep dead vertices and a returning vertex keeps
+        its old id; a full snapshot needs exactly the graph's current
+        vertices in :attr:`graph` order (:meth:`IdAdjacency.live`), so each
+        level is remapped once (:func:`~repro.index.csr_build.remap_level_arrays`).
         The maintained ids are first made upper-first (:meth:`_renumber`),
         so a base bound to this export never sees them move.
         """
@@ -928,55 +997,28 @@ class DynamicDegeneracyIndex(ArrayLevelIndex, DegeneracyIndex):
 
         if not self._ids.upper_first:
             self._renumber()
-        graph = self._graph
-        ids = self._ids.ids
-        order = [ids[Vertex(Side.UPPER, label)] for label in graph.upper_labels()]
-        order += [ids[Vertex(Side.LOWER, label)] for label in graph.lower_labels()]
-        old_ids = np.array(order, dtype=np.int64)
+        uppers, lowers = self._ids.live()
+        old_ids = np.concatenate((uppers, lowers))
         new_ids = np.full(len(self._ids.handles), -1, dtype=np.int64)
         new_ids[old_ids] = np.arange(old_ids.shape[0], dtype=np.int64)
         return {
             (half, tau): remap_level_arrays(
-                self._levels[(half, tau)], old_ids, new_ids, graph.num_upper
+                self._levels[(half, tau)], old_ids, new_ids, uppers.shape[0]
             )
             for tau in range(1, self._delta + 1)
             for half in ("alpha", "beta")
         }
 
     # ------------------------------------------------------------------ #
-    # vanished-vertex bookkeeping
+    # the update pipeline
     # ------------------------------------------------------------------ #
-    def _vanished_ids(self, endpoints: Tuple[int, int]) -> List[int]:
-        """Ids dropped from the graph by the current update.
-
-        Removing an edge can newly isolate (and thus discard) only its own
-        two endpoints; the only other vertices ``discard_isolated`` can drop
-        are the ones isolated since construction, tracked in
-        ``self._pending_isolated``.
-        """
-        graph = self._graph
-        candidates = [self._ids.handles[gid] for gid in endpoints]
-        if self._pending_isolated:
-            candidates.extend(self._pending_isolated)
-            self._pending_isolated = [
-                vertex
-                for vertex in self._pending_isolated
-                if graph.has_vertex(vertex.side, vertex.label)
-            ]
-        return [
-            self._ids.ids[vertex]
-            for vertex in candidates
-            if not graph.has_vertex(vertex.side, vertex.label)
-        ]
-
-    def _purge(self, gids: List[int]) -> None:
+    def _purge(self, gids: np.ndarray) -> None:
         """Zero the offsets and empty the slices of vanished ids at every level."""
-        if not gids:
+        if not gids.shape[0]:
             return
         from repro.index.csr_build import patch_level_arrays
 
-        self._journal.record_removed_vertices(gids)
-        gids = np.unique(np.array(gids, dtype=np.int64))
+        self._journal.record_removed_vertices(gids.tolist())
         zeros = np.zeros(gids.shape[0], dtype=np.int64)
         for key, level in self._levels.items():
             indptr = level.indptr
@@ -986,9 +1028,6 @@ class DynamicDegeneracyIndex(ArrayLevelIndex, DegeneracyIndex):
                 )
                 self._journal.mark_dirty(key, gids.tolist())
 
-    # ------------------------------------------------------------------ #
-    # the update pipeline
-    # ------------------------------------------------------------------ #
     def _affected_levels(self, gu: int, gv: int, removal: bool) -> List[int]:
         """Levels the update can possibly change (a sound prefilter).
 
@@ -1014,9 +1053,14 @@ class DynamicDegeneracyIndex(ArrayLevelIndex, DegeneracyIndex):
             )
         ]
 
-    def _refresh_after_update(self, gu: int, gv: int, removal: bool) -> None:
+    def _refresh_after_update(
+        self, gu: int, gv: int, vanished: Optional[np.ndarray]
+    ) -> None:
+        """``vanished`` is None after an insertion, else the ids a removal dropped."""
+        removal = vanished is not None
         levels = self._affected_levels(gu, gv, removal)
-        self._purge(self._vanished_ids((gu, gv)))
+        if removal:
+            self._purge(vanished)
         seeds = np.array(
             [gid for gid in (gu, gv) if self._ids.degrees[gid] > 0], dtype=np.int64
         )
@@ -1208,7 +1252,7 @@ class DynamicDegeneracyIndex(ArrayLevelIndex, DegeneracyIndex):
         while True:
             next_tau = self._delta + 1
             if self._delta == 0:
-                if self._graph.num_edges == 0:
+                if self._ids.num_edges == 0:
                     return
                 candidates = np.arange(len(self._ids.handles), dtype=np.int64)
             else:

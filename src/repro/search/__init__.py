@@ -22,9 +22,9 @@ descending weight once, validates weight-ordered prefixes (threshold graphs
 whose core keeps the query — no union-find, no peel, and no Lemma 7 or
 saturation pruning, which only skip validations.  The answer is the query's
 component of the (α,β)-core of ``G≥w*`` for the largest surviving weight
-``w*`` either way.  The array binary search is the same kernel with
-ε = ∞.  The agreement suite asserts both produce element-wise identical
-answers;
+``w*`` either way.  The array binary search and the array peel are the
+same kernel with ε = ∞.  The agreement suite asserts both produce
+element-wise identical answers;
 :meth:`repro.api.CommunitySearcher.significant_community` and the batch /
 serving entry points route through the array twin whenever an array query
 path is available.

@@ -370,7 +370,6 @@ def save_snapshot_delta(index: "DynamicDegeneracyIndex", directory: PathLike) ->
     data_name = _delta_data_name(sequence)
     segments, size = _write_segment_file(directory / data_name, payloads())
 
-    graph = index.graph
     stats = index.stats()
     delta_manifest = {
         "magic": _MAGIC,
@@ -384,12 +383,7 @@ def save_snapshot_delta(index: "DynamicDegeneracyIndex", directory: PathLike) ->
             "delta": delta_value,
             "stats": stats.as_dict(),
         },
-        "graph": {
-            "name": graph.name,
-            "num_upper": graph.num_upper,
-            "num_lower": graph.num_lower,
-            "num_edges": graph.num_edges,
-        },
+        "graph": index.graph_summary(),
         "full_levels": [f"{half}/{tau}" for half, tau in full_keys],
         "patched_levels": [f"{half}/{tau}" for half, tau in patch_keys],
         "data": {"file": data_name, "size": size},
@@ -863,15 +857,7 @@ class SnapshotIndex(ArrayLevelIndex, CommunityIndex):
         the maintained index held when the delta was written.
         """
         if self._graph is None:
-            from repro.graph.csr import CSRBipartiteGraph
-
-            base = CSRBipartiteGraph(
-                str(self._manifest.get("graph", {}).get("name", "")),
-                self._upper_labels,
-                self._lower_labels,
-                *self._graph_arrays,
-            )
-            graph = base.thaw()
+            graph = self.base_csr().thaw()
             for op in self._pending_ops:
                 if op[0] == "insert":
                     graph.add_edge(op[1], op[2], op[3])
@@ -884,18 +870,26 @@ class SnapshotIndex(ArrayLevelIndex, CommunityIndex):
     def csr_graph(self) -> "CSRBipartiteGraph":
         """The snapshotted graph as a :class:`CSRBipartiteGraph` (cached)."""
         if self._csr is None:
-            from repro.graph.csr import CSRBipartiteGraph, freeze
+            from repro.graph.csr import freeze
 
-            if self._pending_ops:
-                self._csr = freeze(self.graph)
-            else:
-                self._csr = CSRBipartiteGraph(
-                    str(self._manifest.get("graph", {}).get("name", "")),
-                    self._upper_labels,
-                    self._lower_labels,
-                    *self._graph_arrays,
-                )
+            self._csr = freeze(self.graph) if self._pending_ops else self.base_csr()
         return self._csr
+
+    def base_csr(self) -> "CSRBipartiteGraph":
+        """The base's graph over its mapped arrays, without the deltas' ops."""
+        from repro.graph.csr import CSRBipartiteGraph
+
+        return CSRBipartiteGraph(
+            str(self._manifest.get("graph", {}).get("name", "")),
+            self._upper_labels,
+            self._lower_labels,
+            *self._graph_arrays,
+        )
+
+    @property
+    def pending_ops(self) -> List[Tuple]:
+        """The graph operations of the replayed deltas, oldest first."""
+        return self._pending_ops
 
     def query_path(self) -> "ArrayQueryPath":
         """The array query engine over the mapped segments (built once)."""

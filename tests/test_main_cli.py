@@ -201,6 +201,73 @@ class TestUpdateAndStats:
         answer = replayed.community(upper("u3"), 2, 2)
         assert answer.same_structure(fresh.community(upper("u3"), 2, 2))
 
+    def test_update_never_materialises_the_graph_per_op(
+        self, capsys, monkeypatch, tmp_path, snapshot_dir
+    ):
+        import random
+
+        from repro.graph.bipartite import Side, Vertex
+        from repro.index import serialization
+        from repro.index.degeneracy_index import DegeneracyIndex
+        from repro.index.maintenance import DynamicDegeneracyIndex
+        from repro.serving.snapshot import load_snapshot
+
+        # 50 ops over the base's labels, mirrored on a dict graph.
+        rng = random.Random(7)
+        working = paper_example_graph()
+        uppers, lowers = sorted(working.upper_labels()), sorted(working.lower_labels())
+        lines = []
+        for step in range(50):
+            edges = sorted((u, v) for u, v, _ in working.edges())
+            if step % 2 and edges:
+                u, v = rng.choice(edges)
+                working.remove_edge(u, v)
+                working.discard_isolated()
+                lines.append(f"remove {u} {v}")
+            else:
+                u, v, w = rng.choice(uppers), rng.choice(lowers), rng.randint(1, 9)
+                working.add_edge(u, v, float(w))
+                lines.append(f"insert {u} {v} {w}")
+        ops = tmp_path / "ops.tsv"
+        ops.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        calls = {"graph": 0, "before_save": None}
+        materialise = DynamicDegeneracyIndex.graph.fget
+
+        def counting_graph(index):
+            calls["graph"] += 1
+            return materialise(index)
+
+        save_index = serialization.save_index
+
+        def counting_save(*args, **kwargs):
+            calls["before_save"] = calls["graph"]
+            return save_index(*args, **kwargs)
+
+        monkeypatch.setattr(DynamicDegeneracyIndex, "graph", property(counting_graph))
+        monkeypatch.setattr(serialization, "save_index", counting_save)
+        assert main(["update", "--index", str(snapshot_dir), "--ops", str(ops)]) == 0
+        assert "applied    : 50 updates" in capsys.readouterr().out
+        assert calls["before_save"] == 0
+
+        replayed = load_snapshot(snapshot_dir)
+        fresh = DegeneracyIndex(working)
+        assert replayed.graph.same_structure(working)
+        assert replayed.delta == fresh.delta
+        queries = [
+            (Vertex(side, label), a, b)
+            for side in (Side.UPPER, Side.LOWER)
+            for label in sorted(working.labels(side))
+            for a, b in ((1, 1), (2, 2), (2, 3))
+        ]
+        for got, want in zip(
+            replayed.batch_community(queries, on_empty="none"),
+            fresh.batch_community(queries, on_empty="none"),
+        ):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.same_structure(want)
+
     def test_update_skips_absent_removals(self, capsys, tmp_path, snapshot_dir):
         ops = tmp_path / "ops.tsv"
         ops.write_text("remove nope nothere\ninsert u3 v6 1.0\n", encoding="utf-8")

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.exceptions import EmptyCommunityError
+from repro.api import CommunitySearcher
+from repro.exceptions import EdgeNotFoundError, EmptyCommunityError, InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph, Side, upper
 from repro.index.degeneracy_index import DegeneracyIndex
 from repro.index.maintenance import DynamicDegeneracyIndex
@@ -244,3 +246,63 @@ class TestRandomisedUpdateSequences:
         dynamic = DynamicDegeneracyIndex(tiny_graph)
         dynamic.insert_edge("u3", "v2", 4.0)
         assert tiny_graph.same_structure(before)
+
+
+LEVEL_FIELDS = ("indptr", "entry_vertex", "entry_weight", "entry_offset", "offsets")
+
+
+def _state(dynamic: DynamicDegeneracyIndex):
+    """Everything a rejected update must leave as it was."""
+    exports = {
+        key: {f: getattr(level, f).copy() for f in LEVEL_FIELDS}
+        for key, level in dynamic.export_level_arrays().items()
+    }
+    return exports, list(dynamic.journal.ops), dynamic.graph
+
+
+def _assert_unchanged(dynamic: DynamicDegeneracyIndex, before) -> None:
+    exports, ops, graph = _state(dynamic)
+    assert sorted(exports) == sorted(before[0])
+    for key, fields in before[0].items():
+        for name, array in fields.items():
+            assert np.array_equal(exports[key][name], array), (key, name)
+    assert ops == before[1]
+    assert graph.same_structure(before[2])
+
+
+class TestRejectedUpdates:
+    """The maintained index validates updates itself and a rejected one
+    changes nothing: not the levels, not the journal, not the graph."""
+
+    @pytest.mark.parametrize("edge", [("u3", "v1"), ("u0", "never-seen"), ("never-seen", "v0")])
+    def test_removing_a_missing_edge_raises(self, tiny_graph, edge):
+        dynamic = DynamicDegeneracyIndex(tiny_graph)
+        dynamic.remove_edge("u0", "v0")  # something in the journal already
+        before = _state(dynamic)
+        with pytest.raises(EdgeNotFoundError):
+            dynamic.remove_edge(*edge)
+        _assert_unchanged(dynamic, before)
+        assert not dynamic.graph.has_edge(*edge)
+
+    @pytest.mark.parametrize("edge", [("u3", "v1"), ("u0", "v1"), ("new-u", "new-v")])
+    def test_a_nan_weight_raises(self, tiny_graph, edge):
+        # A new edge, a re-weight of an existing one, and never-seen labels.
+        dynamic = DynamicDegeneracyIndex(tiny_graph)
+        dynamic.insert_edge("u3", "v2", 2.0)
+        before = _state(dynamic)
+        with pytest.raises(InvalidParameterError):
+            dynamic.insert_edge(*edge, float("nan"))
+        _assert_unchanged(dynamic, before)
+        assert dynamic.graph.has_edge(*edge) == tiny_graph.has_edge(*edge)
+        assert dynamic.contains(upper("new-u"), 1, 1) is False
+
+
+class TestGraphOnDemand:
+    def test_a_searcher_sees_the_current_graph(self, tiny_graph):
+        dynamic = DynamicDegeneracyIndex(tiny_graph)
+        searcher = CommunitySearcher(index=dynamic)
+        assert not searcher.graph.has_edge("u3", "v1")
+        dynamic.insert_edge("u3", "v1", 2.0)
+        assert searcher.graph.has_edge("u3", "v1")
+        result = searcher.significant_community(upper("u3"), 1, 1, method="baseline")
+        assert result.search_space_edges == tiny_graph.num_edges + 1

@@ -99,7 +99,7 @@ class TestPlannerOracle:
         for before, after, endpoints, removal in _planner_cases(seed):
             index = DegeneracyIndex(before, backend="dict")
             upper, lower, handles, gids = _id_space(before)
-            adjacency = IdAdjacency.from_graph(after, upper, lower)
+            adjacency = IdAdjacency.from_csr(freeze(after))
             seeds = np.array([gids[e] for e in endpoints], dtype=np.int64)
             for tau in range(1, index.delta + 1):
                 for primary, offsets in (
@@ -146,7 +146,7 @@ class TestCallCountGuard:
         upper, lower, handles, gids = _id_space(graph)
         after = graph.copy()
         after.remove_edge("hub", "v0")
-        adjacency = IdAdjacency.from_graph(after, upper, lower)
+        adjacency = IdAdjacency.from_csr(freeze(after))
         seeds = np.array([gids[Vertex(Side.UPPER, "hub")], gids[Vertex(Side.LOWER, "v0")]])
         tau = 1
         primary, old = Side.LOWER, levels[("beta", tau)].offsets
@@ -178,9 +178,10 @@ class TestRegionSizedScratch:
         graph = power_law_bipartite(40, 30, 200, 0.9, 0.9, seed=5)
         upper, lower, handles, gids = _id_space(graph)
         filler = 200_000  # edgeless ids after the graph's own
-        adjacency = IdAdjacency.from_graph(
-            graph, upper + [f"far{i}" for i in range(filler)], lower
-        )
+        padded = graph.copy()
+        for i in range(filler):
+            padded.add_vertex(Side.UPPER, f"far{i}")
+        adjacency = IdAdjacency.from_csr(freeze(padded))
         index = DegeneracyIndex(graph, backend="dict")
         hub = max(graph.upper_labels(), key=lambda u: graph.degree(Side.UPPER, u))
         seeds = np.array([adjacency.ids[Vertex(Side.UPPER, hub)]], dtype=np.int64)
@@ -268,6 +269,60 @@ class TestGrowingIdSpace:
             dynamic.remove_edge(u, v)
         dynamic.insert_edge("new-u", "new-v", 1.0)
         assert dynamic._array_path is None
+
+
+class TestGraphRoundTrip:
+    @pytest.mark.parametrize("opened", ["dict", "csr", "snapshot"])
+    def test_graph_equals_the_dict_graph_with_the_same_history(self, tmp_path, opened):
+        """The on-demand graph lists the vertices of each side, and every
+        vertex its neighbours, in the order a dict graph given the same ops
+        does — across re-weights, a vertex isolated from the start, and a
+        vertex that vanishes and comes back."""
+        graph = power_law_bipartite(30, 25, 150, 0.9, 0.9, seed=21)
+        graph.add_vertex(Side.UPPER, "iso")
+        reference = graph.copy()
+        dynamic = DynamicDegeneracyIndex(graph, backend="dict" if opened == "dict" else "csr")
+        rng = random.Random(21)
+        uppers = sorted(u for u in graph.upper_labels() if u != "iso")
+        lowers = sorted(graph.lower_labels())
+        victim = uppers[0]
+        for step in range(60):
+            edges = sorted((u, v) for u, v, _ in reference.edges())
+            roll = rng.random()
+            if step == 30:  # the victim vanishes ...
+                ops = [("remove", victim, v) for v in sorted(reference.neighbors(Side.UPPER, victim))]
+            elif step == 45:  # ... and comes back
+                ops = [("insert", victim, lowers[-1], 7.0)]
+            elif roll < 0.35:
+                u = f"new-u{step}" if roll < 0.05 else rng.choice(uppers)
+                ops = [("insert", u, rng.choice(lowers), float(rng.randint(1, 9)))]
+            elif roll < 0.5:
+                ops = [("insert", *rng.choice(edges), float(rng.randint(1, 9)))]
+            else:
+                ops = [("remove", *rng.choice(edges))]
+            for kind, u, v, *weight in ops:
+                if kind == "insert":
+                    reference.add_edge(u, v, weight[0])
+                    dynamic.insert_edge(u, v, weight[0])
+                else:
+                    reference.remove_edge(u, v)
+                    reference.discard_isolated()
+                    dynamic.remove_edge(u, v)
+            if opened == "snapshot" and step in (20, 35, 50):
+                save_index(dynamic, tmp_path / "s", format="snapshot")  # base, then deltas
+                if step > 20:
+                    dynamic = DynamicDegeneracyIndex.from_snapshot(load_snapshot(tmp_path / "s"))
+        assert not reference.has_vertex(Side.UPPER, "iso")
+        assert reference.has_vertex(Side.UPPER, victim)
+
+        got = dynamic.graph
+        assert got.same_structure(reference)
+        for side in (Side.UPPER, Side.LOWER):
+            assert list(got.labels(side)) == list(reference.labels(side)), side
+            for label in reference.labels(side):
+                assert list(got.neighbors(side, label).items()) == list(
+                    reference.neighbors(side, label).items()
+                ), (side, label)
 
 
 # --------------------------------------------------------------------------- #

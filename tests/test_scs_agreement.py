@@ -58,33 +58,48 @@ def core_queries(index, alpha, beta, per_side=1):
     return uppers + lowers
 
 
+def with_distinct_float_weights(graph: BipartiteGraph, seed: int) -> BipartiteGraph:
+    """``graph`` re-weighted so that no two edges share a weight (the
+    paper's random-walk weights look like this): every peel round strips
+    one edge."""
+    rng = random.Random(seed)
+    edges = list(graph.edges())
+    ranks = rng.sample(range(len(edges)), len(edges))
+    reweighted = graph.copy()
+    for (u, v, _), rank in zip(edges, ranks):
+        reweighted.add_edge(u, v, (rank + 0.5) / len(edges))
+    return reweighted
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_oracle_and_array_twins_agree(seed):
-    """peel == expand == binary == baseline == edge kernel, per method."""
-    graph = make_random_weighted_graph(seed)
-    index = DegeneracyIndex(graph, backend="dict")
-    checked = 0
-    for alpha, beta in GRID:
-        for query in core_queries(index, alpha, beta):
-            community = index.community(query, alpha, beta)
-            oracle = scs_peel(community, query, alpha, beta)
-            assert_same_graph(scs_expand(community, query, alpha, beta), oracle)
-            assert_same_graph(scs_binary(community, query, alpha, beta), oracle)
-            assert_same_graph(scs_baseline(graph, query, alpha, beta), oracle)
+    """peel == expand == binary == baseline == edge kernel, per method, on
+    integer weights and on distinct float weights."""
+    integer_weights = make_random_weighted_graph(seed)
+    for graph in (integer_weights, with_distinct_float_weights(integer_weights, seed)):
+        index = DegeneracyIndex(graph, backend="dict")
+        checked = 0
+        for alpha, beta in GRID:
+            for query in core_queries(index, alpha, beta):
+                community = index.community(query, alpha, beta)
+                oracle = scs_peel(community, query, alpha, beta)
+                assert_same_graph(scs_expand(community, query, alpha, beta), oracle)
+                assert_same_graph(scs_binary(community, query, alpha, beta), oracle)
+                assert_same_graph(scs_baseline(graph, query, alpha, beta), oracle)
 
-            src, dst, weight, upper_ids, lower_ids = community_edge_lists(community)
-            query_upper = query.side is Side.UPPER
-            query_id = (upper_ids if query_upper else lower_ids)[query.label]
-            oracle_edges = set(graph_edge_triples(oracle))
-            for method in METHODS:
-                kept = csr_significant_edges(
-                    src, dst, weight, query_upper, query_id, alpha, beta, method=method
-                ).tolist()
-                assert kept == sorted(kept), (seed, alpha, beta, query, method)
-                got = edge_set_of_indices(kept, src, dst, weight, upper_ids, lower_ids)
-                assert got == oracle_edges, (seed, alpha, beta, query, method)
-            checked += 1
-    assert checked > 0
+                src, dst, weight, upper_ids, lower_ids = community_edge_lists(community)
+                query_upper = query.side is Side.UPPER
+                query_id = (upper_ids if query_upper else lower_ids)[query.label]
+                oracle_edges = set(graph_edge_triples(oracle))
+                for method in METHODS:
+                    kept = csr_significant_edges(
+                        src, dst, weight, query_upper, query_id, alpha, beta, method=method
+                    ).tolist()
+                    assert kept == sorted(kept), (seed, alpha, beta, query, method)
+                    got = edge_set_of_indices(kept, src, dst, weight, upper_ids, lower_ids)
+                    assert got == oracle_edges, (seed, alpha, beta, query, method)
+                checked += 1
+        assert checked > 0
 
 
 def graph_edge_triples(graph):
@@ -296,8 +311,9 @@ class TestExpandKernel:
             assert validated[0] > 36  # the heavy block came first
 
     def test_no_per_edge_python_calls(self):
-        """One expand over a ~22k-edge community makes < E/100 Python calls
-        (the union-find version made several per edge)."""
+        """One expand or peel over a ~22k-edge community makes < E/100
+        Python calls (the union-find version made several per edge, the
+        round-per-weight peel several per distinct weight)."""
         import sys
 
         import numpy as np
@@ -309,24 +325,34 @@ class TestExpandKernel:
         weight[src == 0] = rng.integers(1, 5, size=int((src == 0).sum()))
         assert src.shape[0] >= 20_000
 
-        def run():
-            return csr_significant_edges(src, dst, weight, True, 0, 3, 3, method="expand")
+        def profiled(method, weight):
+            """The kept edges and the Python calls one search made."""
 
-        run()  # first-call imports inside numpy are not the kernel's cost
-        calls = [0]
+            def run():
+                return csr_significant_edges(src, dst, weight, True, 0, 3, 3, method=method)
 
-        def count(frame, event, arg):
-            if event == "call":
-                calls[0] += 1
+            run()  # first-call imports inside numpy are not the kernel's cost
+            calls = [0]
 
-        sys.setprofile(count)
-        try:
-            kept = run()
-        finally:
-            sys.setprofile(None)
-        assert calls[0] < src.shape[0] / 100, calls[0]
-        peeled = csr_significant_edges(src, dst, weight, True, 0, 3, 3, method="peel")
-        assert np.array_equal(kept, peeled)
+            def count(frame, event, arg):
+                if event == "call":
+                    calls[0] += 1
+
+            sys.setprofile(count)
+            try:
+                kept = run()
+            finally:
+                sys.setprofile(None)
+            return kept, calls[0]
+
+        # The same order with every weight distinct: a peel round per edge.
+        distinct = np.argsort(np.argsort(weight, kind="stable")) + 0.5
+        for weights in (weight, distinct):
+            kept, calls = profiled("expand", weights)
+            assert calls < src.shape[0] / 100, calls
+            peeled, calls = profiled("peel", weights)
+            assert calls < src.shape[0] / 100, calls
+            assert np.array_equal(kept, peeled)
 
 
 class TestEpsilonValidation:
