@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import Side
-from repro.graph.csr import CSRBipartiteGraph
+from repro.graph.csr import CSRBipartiteGraph, sorted_unique
 from repro.utils.validation import check_epsilon, check_thresholds
 
 __all__ = [
@@ -74,17 +74,13 @@ def _violators(touched: np.ndarray, alive: np.ndarray, degrees: np.ndarray, thre
     """Deduplicated, currently-alive vertices of ``touched`` below ``threshold``.
 
     Filters before deduplicating (violators are usually a small fraction of
-    the touched frontier) and dedups with an in-place sort, which beats
+    the touched frontier) and dedups with :func:`sorted_unique`, which beats
     ``np.unique``'s machinery on the small arrays cascades produce.
     """
     cand = touched[alive[touched] & (degrees[touched] < threshold)]
     if cand.size <= 1:
         return cand
-    cand.sort()
-    keep = np.empty(cand.shape[0], dtype=bool)
-    keep[0] = True
-    np.not_equal(cand[1:], cand[:-1], out=keep[1:])
-    return cand[keep]
+    return sorted_unique(cand)
 
 
 def _decrement(degrees: np.ndarray, touched: np.ndarray) -> None:
@@ -469,8 +465,15 @@ def _expand_over_edges(
     component of the (α,β)-core of ``G≥w*``, where ``w*`` is the largest
     weight at which the query survives, and survival is monotone in the
     prefix — exactly what peeling a validated component also returns.
+
+    The weight order need not be stable.  Ties only move edges inside one
+    weight run, and everything the search reads is taken at run ends: the
+    checkpoints, the query degrees and every validated prefix are the same
+    edge sets under any tie order.  The core fixpoint and the component
+    are set computations, and the kept positions are mapped back through
+    ``order`` and sorted, so the answer is the same array either way.
     """
-    order = np.argsort(-weight, kind="stable")
+    order = np.argsort(-weight)
     us, ls, weight = us[order], ls[order], weight[order]
     total = int(order.shape[0])
     run_ends = np.append(np.flatnonzero(weight[1:] != weight[:-1]) + 1, total)
@@ -512,6 +515,34 @@ def _expand_over_edges(
     )
 
 
+#: Dense interning's id-span bound, as a multiple of the edge count.  Past it
+#: a lookup table over the span costs more than sorting the ids.
+_DENSE_INTERN_FACTOR = 8
+
+
+def _intern(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct ids of a non-empty id array and each id's rank
+    among them (``np.unique`` with ``return_inverse``).
+
+    When the ids span at most :data:`_DENSE_INTERN_FACTOR` times as many
+    values as there are edges, the local ids come from a dense table over
+    the span (mark the ids present, number the marks in order, gather), so
+    no sort runs at all.  A sparse community in a wide id space falls back
+    to numpy's sort-based inverse, so it never pays for the whole space.
+    """
+    low = int(ids.min())
+    span = int(ids.max()) - low + 1
+    if span > _DENSE_INTERN_FACTOR * ids.shape[0]:
+        return np.unique(ids, return_inverse=True)
+    shifted = ids - low
+    seen = np.zeros(span, dtype=bool)
+    seen[shifted] = True
+    present = np.flatnonzero(seen)
+    local = np.empty(span, dtype=np.int64)
+    local[present] = np.arange(present.shape[0], dtype=np.int64)
+    return present + low, local[shifted]
+
+
 def csr_significant_edges(
     src: np.ndarray,
     dst: np.ndarray,
@@ -541,6 +572,14 @@ def csr_significant_edges(
     ``"binary"`` and ``"peel"`` run the same kernel with ε = ∞: the first
     checkpoint, the full prefix, then bisection, instead of bisecting the
     distinct weights or stripping one distinct weight per round.
+
+    The endpoint ids are interned per side into local ``0..n-1`` ids (the
+    rank among that side's distinct ids) by a dense lookup table over the
+    id span when the span is at most a small multiple of the edge count,
+    and by numpy's sort-based inverse otherwise (see :func:`_intern`).  A
+    community with a single distinct weight is returned whole.  Empty
+    edge arrays, and a query absent from them, raise
+    :class:`~repro.exceptions.InvalidParameterError`.
     """
     check_thresholds(alpha, beta)
     if method not in SCS_EDGE_METHODS:
@@ -552,8 +591,12 @@ def csr_significant_edges(
     dst = np.asarray(dst, dtype=np.int64)
     weight = np.asarray(weight, dtype=np.float64)
 
-    upper_ids, us = np.unique(src, return_inverse=True)
-    lower_ids, ls = np.unique(dst, return_inverse=True)
+    if src.shape[0] == 0:
+        raise InvalidParameterError(
+            f"query vertex {query_id!r} is not in the supplied community edges"
+        )
+    upper_ids, us = _intern(src)
+    lower_ids, ls = _intern(dst)
     num_u, num_l = int(upper_ids.shape[0]), int(lower_ids.shape[0])
     pool = upper_ids if query_in_upper else lower_ids
     slot = int(np.searchsorted(pool, query_id))
@@ -562,7 +605,7 @@ def csr_significant_edges(
             f"query vertex {query_id!r} is not in the supplied community edges"
         )
     query = slot
-    if np.unique(weight).shape[0] <= 1:
+    if weight.min() == weight.max():
         # Single distinct weight: the community itself is the answer (the
         # same short-circuit every dict algorithm takes).
         return np.arange(src.shape[0], dtype=np.int64)

@@ -41,6 +41,7 @@ __all__ = [
     "freeze",
     "thaw",
     "resolve_backend",
+    "sorted_unique",
 ]
 
 #: Edge count above which ``backend="auto"`` switches from dict to CSR.  Below
@@ -354,6 +355,24 @@ class CSRBipartiteGraph:
             f"<CSRBipartiteGraph{tag} |U|={self.num_upper} |L|={self.num_lower} "
             f"|E|={self.num_edges}>"
         )
+
+
+def sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of ``ids`` in ascending order: ``np.unique(ids)``.
+
+    Sorts a copy and keeps each element that differs from its predecessor.
+    On numpy 2.x plain ``np.unique`` of an integer array takes a hash-based
+    path that is several times slower than this sort on the id arrays that
+    queries and maintenance dedupe, so the hot paths call this instead.
+    """
+    out = ids.copy()
+    out.sort()
+    if out.shape[0] <= 1:
+        return out
+    keep = np.empty(out.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
 
 
 def _owner_runs(owners: np.ndarray, label_arr: np.ndarray) -> Tuple[List, List[int]]:

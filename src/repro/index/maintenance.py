@@ -82,6 +82,7 @@ if TYPE_CHECKING:
 
 from repro.exceptions import EdgeNotFoundError, InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex
+from repro.graph.csr import sorted_unique
 from repro.index.base import IndexStats
 from repro.index.degeneracy_index import DegeneracyIndex
 from repro.index.traversal import ArrayLevelIndex, ArrayQueryPath
@@ -439,7 +440,7 @@ def plan_level_region(
             )
             pressed = nbrs[crossed & (offset_x >= 1) & outside]
             # ``settled``: the vertex's slack is already computed.
-            fresh = np.unique(pressed[settled[pressed] != generation])
+            fresh = sorted_unique(pressed[settled[pressed] != generation])
             if fresh.shape[0]:
                 levels = old_offsets[fresh]
                 slack[fresh] = _support(adjacency, old_offsets, fresh, levels) - (
@@ -448,11 +449,11 @@ def plan_level_region(
                 settled[fresh] = generation
             # Every crossing candidate neighbour consumes one unit of slack.
             np.subtract.at(slack, pressed, 1)
-            joined = np.unique(pressed[slack[pressed] < 0])
+            joined = sorted_unique(pressed[slack[pressed] < 0])
         else:
             helps = np.where(from_endpoint, offset_c <= offset_x, offset_c == offset_x)
             # ``settled``: the vertex was already found infeasible.
-            tried = np.unique(nbrs[helps & outside & (settled[nbrs] != generation)])
+            tried = sorted_unique(nbrs[helps & outside & (settled[nbrs] != generation)])
             levels = old_offsets[tried]
             feasible = _support(
                 adjacency, old_offsets, tried, levels, generation
@@ -1114,7 +1115,7 @@ class DynamicDegeneracyIndex(ArrayLevelIndex, DegeneracyIndex):
                 new_a, new_b = self._full_level_offsets(tau)
                 self._levels_rebuilt += 1
             else:
-                touched = np.unique(
+                touched = sorted_unique(
                     np.concatenate([seeds] + [half[0] for half in halves if half])
                 )
                 new_a, new_b = old_a[touched], old_b[touched]
@@ -1205,7 +1206,7 @@ class DynamicDegeneracyIndex(ArrayLevelIndex, DegeneracyIndex):
         offsets_a[changed] = new_a[moved]
         offsets_b[changed] = new_b[moved]
         _, nbrs = self._ids.gather(changed)
-        rebuild = np.unique(np.concatenate((seeds, changed, nbrs)))
+        rebuild = sorted_unique(np.concatenate((seeds, changed, nbrs)))
         dirty = rebuild.tolist()
         for key, entry_offsets, strict in ((alpha, offsets_a, False), (beta, offsets_b, True)):
             counts, ev, ew, eo = level_slices(

@@ -187,4 +187,29 @@ def load_index(path: PathLike) -> CommunityIndex:
     index = payload.get("index")
     if not isinstance(index, CommunityIndex):
         raise IndexConsistencyError(f"{path} does not contain a CommunityIndex")
+    _check_adjacency_layout(index, path)
     return index
+
+
+def _check_adjacency_layout(index: CommunityIndex, path: Path) -> None:
+    """Refuse a maintained index whose id adjacency an older layout pickled.
+
+    Unpickling restores only the slots the writer had, so an adjacency
+    saved before it kept per-id existence (``alive``) and order (``birth``)
+    state would load and then fail on its first structural update.
+    """
+    adjacency = getattr(index, "_ids", None)
+    if adjacency is None:
+        return
+    from repro.index.maintenance import IdAdjacency
+
+    if not isinstance(adjacency, IdAdjacency):
+        return
+    missing = [slot for slot in IdAdjacency.__slots__ if not hasattr(adjacency, slot)]
+    if missing:
+        raise IndexConsistencyError(
+            f"{path} holds a maintained index pickled by an older layout "
+            f"(its id adjacency lacks {', '.join(missing)}); rebuild the index "
+            "from its graph, or save it as a snapshot (`repro build --out DIR`), "
+            "which reopens across layout changes"
+        )

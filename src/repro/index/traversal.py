@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.exceptions import EmptyCommunityError, InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph, Side, Vertex
-from repro.graph.csr import _graph_from_edge_arrays
+from repro.graph.csr import _graph_from_edge_arrays, sorted_unique
 from repro.index.base import apply_batch_policy
 from repro.utils.validation import check_epsilon, check_query_membership, check_thresholds
 
@@ -142,6 +142,11 @@ def bfs_edges_over_arrays(
     may supply a reusable boolean scratch array of length
     ``level.offsets.shape[0]``; it is restored to all-``False`` before
     returning, so a batch of queries can share one allocation.
+
+    Each round's new frontier is the ascending distinct ids of the unseen
+    neighbours (:func:`~repro.graph.csr.sorted_unique`, a sort and a
+    neighbour compare, not ``np.unique``'s hash path), so the edges are
+    emitted round by round in frontier-id order.
     """
     num_upper = level.num_upper
     indptr = level.indptr
@@ -170,7 +175,7 @@ def bfs_edges_over_arrays(
         weight_parts.append(entry_weight[positions[from_upper]])
         unseen = neighbours[~visited[neighbours]]
         if unseen.size:
-            frontier = np.unique(unseen)
+            frontier = sorted_unique(unseen)
             visited[frontier] = True
             seen_parts.append(frontier)
         else:

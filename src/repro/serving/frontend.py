@@ -62,6 +62,7 @@ from repro.exceptions import (
     ServingError,
 )
 from repro.graph.bipartite import Side, Vertex
+from repro.graph.csr import sorted_unique
 from repro.serving.answer_cache import AnswerCache
 from repro.serving.snapshot import (
     _live_chain,
@@ -172,8 +173,8 @@ class _CachedAnswer:
             src = src.astype(np.int32, copy=False)
             dst = dst.astype(np.int32, copy=False)
         weight = np.asarray(weight, dtype=np.float64)
-        upper_ids = np.unique(src)
-        lower_ids = np.unique(dst)
+        upper_ids = sorted_unique(src)
+        lower_ids = sorted_unique(dst)
         members = np.concatenate(
             (upper_ids, lower_ids.astype(np.int64) + labels.num_upper)
         )
@@ -794,8 +795,8 @@ class ServingFrontend:
             "found": True,
             "method": resolved,
             "search_space_edges": int(space),
-            "num_upper": int(np.unique(src).size),
-            "num_lower": int(np.unique(dst).size),
+            "num_upper": int(sorted_unique(src).size),
+            "num_lower": int(sorted_unique(dst).size),
             "num_edges": int(src.shape[0]),
             "min_weight": float(weight.min()),
         }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import GraphError, InvalidParameterError, VertexNotFoundError
@@ -11,6 +12,7 @@ from repro.graph.csr import (
     CSRBipartiteGraph,
     freeze,
     resolve_backend,
+    sorted_unique,
     thaw,
 )
 from repro.graph.generators import paper_example_graph, random_bipartite
@@ -163,3 +165,28 @@ class TestResolveBackend:
     def test_auto_uses_csr_above_threshold(self):
         graph = random_bipartite(120, 120, AUTO_CSR_EDGE_THRESHOLD, seed=0)
         assert resolve_backend("auto", graph) == "csr"
+
+
+class TestSortedUnique:
+    """``sorted_unique`` is ``np.unique`` without the hash path."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_random_arrays(self, seed, dtype):
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, 50, size=int(rng.integers(2, 400))).astype(dtype)
+        got = sorted_unique(ids)
+        np.testing.assert_array_equal(got, np.unique(ids))
+        assert got.dtype == dtype
+
+    @pytest.mark.parametrize(
+        "ids", [[], [7], [3, 3, 3, 3], [5, -2, 5, -2, 0]], ids=["empty", "one", "dups", "neg"]
+    )
+    def test_edge_shapes(self, ids):
+        ids = np.array(ids, dtype=np.int64)
+        np.testing.assert_array_equal(sorted_unique(ids), np.unique(ids))
+
+    def test_input_left_unsorted(self):
+        ids = np.array([4, 1, 4, 0], dtype=np.int64)
+        sorted_unique(ids)
+        np.testing.assert_array_equal(ids, [4, 1, 4, 0])

@@ -196,6 +196,84 @@ class TestUniformWeightExit:
                     )
 
 
+class TestInterning:
+    """The kernel interns endpoint ids by a dense table over their span, or
+    by numpy's sort-based inverse when the span is much wider than the edge
+    count; both branches give the oracle's answer."""
+
+    @staticmethod
+    def count_unique_calls(monkeypatch):
+        import numpy as np
+
+        calls = []
+        real = np.unique
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        return calls
+
+    @pytest.mark.parametrize("scale", [1, 10**6], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("seed", [2, 5, 11, 17])
+    def test_both_branches_match_the_oracle(self, seed, scale, monkeypatch):
+        integer_weights = make_random_weighted_graph(seed)
+        calls = self.count_unique_calls(monkeypatch)
+        checked = 0
+        for graph in (integer_weights, with_distinct_float_weights(integer_weights, seed)):
+            index = DegeneracyIndex(graph, backend="dict")
+            for alpha, beta in GRID:
+                for query in core_queries(index, alpha, beta):
+                    community = index.community(query, alpha, beta)
+                    oracle_edges = graph_edge_triples(scs_peel(community, query, alpha, beta))
+                    src, dst, weight, upper_ids, lower_ids = community_edge_lists(community)
+                    query_upper = query.side is Side.UPPER
+                    query_id = (upper_ids if query_upper else lower_ids)[query.label]
+                    wide_src = [i * scale for i in src]
+                    wide_dst = [i * scale for i in dst]
+                    for method in METHODS:
+                        kept = csr_significant_edges(
+                            wide_src, wide_dst, weight, query_upper, query_id * scale,
+                            alpha, beta, method=method,
+                        ).tolist()
+                        got = edge_set_of_indices(kept, src, dst, weight, upper_ids, lower_ids)
+                        assert got == oracle_edges, (seed, alpha, beta, query, method)
+                    checked += 1
+        assert checked > 0
+        if scale == 1:
+            assert calls == []
+        else:
+            assert calls and all(call.get("return_inverse") for call in calls)
+
+    @pytest.mark.parametrize("scale", [1, 10**6], ids=["dense", "sparse"])
+    def test_absent_query_rejected(self, scale):
+        src = [0, 0, 2 * scale, 2 * scale]
+        dst = [0, scale, 0, scale]
+        weight = [1.0, 2.0, 3.0, 4.0]
+        for method in METHODS:
+            for absent in (scale, 3 * scale, -1):
+                with pytest.raises(InvalidParameterError):
+                    csr_significant_edges(src, dst, weight, True, absent, 1, 1, method=method)
+            with pytest.raises(InvalidParameterError):
+                csr_significant_edges(src, dst, weight, False, 2 * scale, 1, 1, method=method)
+
+    def test_empty_edges_rejected(self):
+        for method in METHODS:
+            for query_upper in (True, False):
+                with pytest.raises(InvalidParameterError):
+                    csr_significant_edges([], [], [], query_upper, 0, 1, 1, method=method)
+
+    def test_single_edge_is_returned_whole(self):
+        for method in METHODS:
+            for query_upper, query_id in ((True, 5), (False, 9)):
+                kept = csr_significant_edges(
+                    [5], [9], [2.5], query_upper, query_id, 1, 1, method=method
+                )
+                assert kept.tolist() == [0]
+                assert kept.dtype.name == "int64"
+
+
 def _biclique(graph, uppers, lowers, weight_of):
     for i, u in enumerate(uppers):
         for j, v in enumerate(lowers):

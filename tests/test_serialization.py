@@ -246,3 +246,45 @@ class TestSnapshotFormat:
         empty.mkdir()
         with pytest.raises(IndexConsistencyError):
             load_index(empty)
+
+
+class TestOldMaintainedIndexPickle:
+    """A maintained index pickled before its id adjacency kept per-id
+    existence and order state fails on load, not on its first update."""
+
+    @pytest.fixture
+    def old_pickle(self, tmp_path):
+        from repro.graph.generators import paper_example_graph
+        from repro.index.maintenance import DynamicDegeneracyIndex
+
+        dynamic = DynamicDegeneracyIndex(paper_example_graph())
+        # The older layout had neither slot.
+        del dynamic._ids.alive
+        del dynamic._ids.birth
+        return save_index(dynamic, tmp_path / "old.pkl")
+
+    def test_load_index_refuses_it(self, old_pickle):
+        with pytest.raises(IndexConsistencyError) as excinfo:
+            load_index(old_pickle)
+        message = str(excinfo.value)
+        assert str(old_pickle) in message
+        assert "alive" in message and "birth" in message
+        assert "rebuild" in message and "snapshot" in message
+
+    def test_update_reports_an_error_line(self, old_pickle, tmp_path, capsys):
+        from repro.__main__ import main
+
+        ops = tmp_path / "ops.tsv"
+        ops.write_text("insert u3 v6 2.0\nremove u1 v1\n", encoding="utf-8")
+        assert main(["update", "--index", str(old_pickle), "--ops", str(ops)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(old_pickle) in err
+
+    def test_current_layout_still_loads_and_updates(self, tmp_path):
+        from repro.graph.generators import paper_example_graph
+        from repro.index.maintenance import DynamicDegeneracyIndex
+
+        path = save_index(DynamicDegeneracyIndex(paper_example_graph()), tmp_path / "new.pkl")
+        loaded = load_index(path)
+        loaded.insert_edge("u3", "v6", 2.0)
+        assert loaded.has_edge("u3", "v6")
